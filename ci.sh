@@ -51,7 +51,10 @@
 #                         single-writer locking, warm-start e2e and
 #                         post-load StaleCode faulting — so a
 #                         durability regression names itself)
-#  16. exec regression   (./run_benches.sh --check: full-rep exec bench
+#  16. benchmark tests   (the perfbench package's own unit tests —
+#                         oracles, stats, workload generators — in
+#                         release, through its own manifest)
+#  17. exec regression   (./run_benches.sh --check: full-rep exec bench
 #                         compared against baselines/BENCH_exec.json;
 #                         fails on a >30% drop in any gated speedup
 #                         column — fused, threaded, adaptive, or the
@@ -124,6 +127,9 @@ cargo run -p tcc-suite --bin suite --release -- persist --smoke
 echo "== persist durability tests =="
 cargo test -q --release -p tcc-cache persist
 cargo test -q --release --test persist
+
+echo "== benchmark (perfbench) tests =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== exec regression gate (speedups vs baselines/) =="
 ./run_benches.sh --check

@@ -24,9 +24,11 @@
 //! * **Atomic writes.** A flush serializes the complete store to a
 //!   sibling temp file, fsyncs, and renames it over the store path —
 //!   a crash mid-flush leaves either the old file or the new one,
-//!   never a torn hybrid. A lock file (created with `create_new`,
-//!   removed on drop) makes the writer unique: later openers of the
-//!   same path get a read-only store whose `flush` fails cleanly.
+//!   never a torn hybrid. An exclusive OS lock on a sibling lock file
+//!   makes the writer unique: later openers of the same path get a
+//!   read-only store whose `flush` fails cleanly. The kernel drops the
+//!   lock when its holder exits, however it exits, so a crashed writer
+//!   never leaves the store read-only.
 //! * **Invalidation composes.** Entries dropped by
 //!   `SharedArtifacts::invalidate` (or any caller of
 //!   [`PersistentStore::tombstone`]) are simply omitted from the next
@@ -138,8 +140,10 @@ pub struct PersistentStore {
     entries: HashMap<Fingerprint, StoredArtifact>,
     /// True when in-memory state has diverged from the file.
     dirty: bool,
-    /// Whether this instance holds the single-writer lock.
-    writer: bool,
+    /// The lock file, held under an exclusive OS lock, when this
+    /// instance is the writer. Closing it (on drop or process death)
+    /// releases the role.
+    lock: Option<fs::File>,
     metrics: PersistMetrics,
 }
 
@@ -147,10 +151,13 @@ impl PersistentStore {
     /// Opens (or creates) the store at `path` under this build's
     /// `abi_salt`. Never fails: an unreadable, corrupt, truncated, or
     /// version-mismatched file degrades to an empty (cold) store with
-    /// the rejection counted in [`PersistMetrics`]. The first opener
-    /// of a path becomes the writer; concurrent openers get a
-    /// read-only view ([`PersistentStore::is_writer`] is false and
-    /// [`PersistentStore::flush`] fails).
+    /// the rejection counted in [`PersistMetrics`]. The opener that
+    /// takes the exclusive OS lock on `<path>.lock` becomes the writer;
+    /// openers while it lives get a read-only view
+    /// ([`PersistentStore::is_writer`] is false and
+    /// [`PersistentStore::flush`] fails). The lock, not the lock file's
+    /// existence, is the role: a file left by a writer that died is
+    /// taken over by the next opener.
     pub fn open(path: impl Into<PathBuf>, abi_salt: u64) -> PersistentStore {
         let path = path.into();
         if let Some(dir) = path.parent() {
@@ -158,17 +165,19 @@ impl PersistentStore {
                 let _ = fs::create_dir_all(dir);
             }
         }
-        let writer = fs::OpenOptions::new()
+        let lock = fs::OpenOptions::new()
             .write(true)
-            .create_new(true)
+            .create(true)
+            .truncate(false)
             .open(lock_path(&path))
-            .is_ok();
+            .ok()
+            .filter(|f| f.try_lock().is_ok());
         let mut store = PersistentStore {
             path,
             abi_salt,
             entries: HashMap::new(),
             dirty: false,
-            writer,
+            lock,
             metrics: PersistMetrics::default(),
         };
         if let Ok(bytes) = fs::read(&store.path) {
@@ -177,10 +186,10 @@ impl PersistentStore {
         store
     }
 
-    /// Whether this instance holds the single-writer lock (the first
-    /// opener of the path in the fleet).
+    /// Whether this instance holds the single-writer lock (the OS lock
+    /// on `<path>.lock`, taken at open).
     pub fn is_writer(&self) -> bool {
-        self.writer
+        self.lock.is_some()
     }
 
     /// The store path.
@@ -258,7 +267,7 @@ impl PersistentStore {
     /// encoding, so equal stores are byte-identical. Fails (without
     /// touching the file) on a read-only instance.
     pub fn flush(&mut self) -> io::Result<()> {
-        if !self.writer {
+        if !self.is_writer() {
             return Err(io::Error::new(
                 io::ErrorKind::PermissionDenied,
                 "store is read-only (another process holds the writer lock)",
@@ -351,12 +360,12 @@ impl Drop for PersistentStore {
     fn drop(&mut self) {
         // Best-effort durability: unflushed changes go to disk on the
         // way out (ignoring errors — drop cannot report them), and the
-        // writer lock is released so the next process can write.
-        if self.dirty && self.writer {
+        // writer lock is released (by closing the lock file) so the next
+        // process can write. The lock file itself stays: unlinking it
+        // would let a later opener lock a fresh inode while another
+        // opener still holds the old one.
+        if self.dirty && self.is_writer() {
             let _ = self.flush();
-        }
-        if self.writer {
-            let _ = fs::remove_file(lock_path(&self.path));
         }
     }
 }
@@ -646,6 +655,41 @@ mod tests {
         let c = PersistentStore::open(&path, 3);
         assert!(c.is_writer(), "lock released on drop");
         assert!(c.is_empty(), "the reader's dirty state never hit disk");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn leftover_lock_file_without_a_holder_still_yields_a_writer() {
+        let path = tmp_path("stalelock");
+        // A writer that died before `Drop` leaves its lock file behind;
+        // the file alone must not make the store read-only.
+        fs::write(lock_path(&path), b"").unwrap();
+        let a = PersistentStore::open(&path, 3);
+        assert!(a.is_writer(), "an unheld lock file is not a lock");
+        drop(a);
+        assert!(lock_path(&path).exists(), "drop keeps the lock file");
+        assert!(PersistentStore::open(&path, 3).is_writer());
+        cleanup(&path);
+    }
+
+    #[test]
+    fn live_lock_holder_excludes_a_second_writer() {
+        let path = tmp_path("heldlock");
+        // Another process's writer, as this one sees it: the lock file
+        // open under an exclusive OS lock.
+        let holder = fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(lock_path(&path))
+            .unwrap();
+        holder.try_lock().unwrap();
+        let mut b = PersistentStore::open(&path, 3);
+        assert!(!b.is_writer(), "a held lock excludes the opener");
+        b.record(fp(1), art(1, 4));
+        assert!(b.flush().is_err());
+        drop(holder); // the holder dies: the kernel releases its lock
+        assert!(PersistentStore::open(&path, 3).is_writer());
         cleanup(&path);
     }
 

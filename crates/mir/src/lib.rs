@@ -20,8 +20,9 @@
 //! `hcall`, CGF index, captured fields); `compile` becomes a host call
 //! into the `tcc` crate's dynamic compiler.
 //!
-//! [`build_image`] produces a runnable [`Image`]: code space, initialized
-//! data memory (globals, strings, function table) and symbol addresses.
+//! [`build_image`] produces a runnable [`Image`]: code space, the
+//! initialized data segment (globals, strings, function table) and symbol
+//! addresses. [`Image::memory`] instantiates a data memory from it.
 //!
 //! ```rust
 //! use tcc_mir::{build_image, OptLevel};
@@ -31,7 +32,7 @@
 //!     "int add(int a, int b) { return a + b; }",
 //! ).expect("valid C");
 //! let img = build_image(&prog, OptLevel::Optimizing, 1 << 20).expect("links");
-//! let mut vm = Vm::from_parts(img.code.clone(), img.mem.clone(), NoHost);
+//! let mut vm = Vm::from_parts(img.code.clone(), img.memory(), NoHost);
 //! assert_eq!(vm.call(img.addr_of("add").unwrap(), &[2, 40]).unwrap(), 42);
 //! ```
 
@@ -39,7 +40,7 @@ pub mod linker;
 pub mod lower;
 pub mod opt;
 
-pub use linker::{build_image, build_image_scheduled, Image};
+pub use linker::{build_image, build_image_scheduled, build_image_with_memory, Image};
 pub use lower::{lower_function, LinkEnv, OptLevel};
 pub use opt::optimize;
 
@@ -51,7 +52,7 @@ mod tests {
     fn run(src: &str, func: &str, args: &[u64], opt: OptLevel) -> u64 {
         let prog = tcc_front::compile_unit(src).expect("compiles");
         let img = build_image(&prog, opt, 1 << 22).expect("links");
-        let mut vm = Vm::from_parts(img.code.clone(), img.mem.clone(), NoHost);
+        let mut vm = Vm::from_parts(img.code.clone(), img.memory(), NoHost);
         vm.call(img.addr_of(func).expect("function exists"), args)
             .expect("runs")
     }
@@ -316,7 +317,7 @@ mod tests {
         let prog = tcc_front::compile_unit(src).unwrap();
         let cycles = |opt| {
             let img = build_image(&prog, opt, 1 << 22).unwrap();
-            let mut vm = Vm::from_parts(img.code.clone(), img.mem.clone(), NoHost);
+            let mut vm = Vm::from_parts(img.code.clone(), img.memory(), NoHost);
             let r1 = vm.call(img.addr_of("work").unwrap(), &[1000]).unwrap();
             (r1, vm.cycles())
         };
@@ -351,7 +352,7 @@ mod tests {
             }
             n => Err(tcc_vm::VmError::BadHostCall(n)),
         };
-        let mut vm = Vm::from_parts(img.code.clone(), img.mem.clone(), host);
+        let mut vm = Vm::from_parts(img.code.clone(), img.memory(), host);
         assert_eq!(vm.call(img.addr_of("f").unwrap(), &[10]).unwrap(), 9);
     }
 }

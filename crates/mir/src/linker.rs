@@ -13,14 +13,21 @@ use tcc_front::types::Type;
 use tcc_icode::{IcodeBuf, IcodeCompiler, Strategy};
 use tcc_vm::{CodeSpace, Memory, VmError};
 
-/// A loaded program image: code, initialized data memory, and symbol
-/// addresses.
+/// A loaded program image: code, the initialized data segment, and
+/// symbol addresses.
+///
+/// The image carries only the bytes the linker wrote — globals, string
+/// literals and the function table, `FIRST_VALID..brk` — not a full data
+/// memory. [`Image::memory`] instantiates a runnable memory from them, so
+/// "nothing above the break is non-zero" holds by construction.
 #[derive(Clone, Debug)]
 pub struct Image {
     /// Emitted code.
     pub code: CodeSpace,
-    /// Data memory with globals, strings and the function table placed.
-    pub mem: Memory,
+    /// The initialized data segment (see [`Image::data`]). Private so
+    /// it always fits the memory [`Image::memory`] instantiates.
+    data: Vec<u8>,
+    mem_size: usize,
     /// Function addresses by function index.
     pub func_addrs: Vec<u64>,
     /// Function names (same order).
@@ -34,6 +41,25 @@ pub struct Image {
 }
 
 impl Image {
+    /// A fresh data memory of [`Image::mem_size`] bytes holding the data
+    /// segment, with the heap break just past it. Only the segment is
+    /// copied; the rest is demand-zero (see [`Memory::with_data`]).
+    pub fn memory(&self) -> Memory {
+        Memory::with_data(self.mem_size, &self.data)
+            .expect("the linker placed the data segment inside the memory")
+    }
+
+    /// The initialized data segment: the bytes at
+    /// [`Memory::FIRST_VALID`]`..brk` as the linker laid them out.
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// Size of the data memory [`Image::memory`] instantiates.
+    pub fn mem_size(&self) -> usize {
+        self.mem_size
+    }
+
     /// Address of the function named `name`.
     pub fn addr_of(&self, name: &str) -> Option<u64> {
         let i = self.func_names.iter().position(|n| n == name)?;
@@ -115,6 +141,29 @@ pub fn build_image_scheduled(
     mem_size: usize,
     schedule: bool,
 ) -> Result<Image, VmError> {
+    build_image_with_memory(prog, opt, mem_size, schedule).map(|(image, _)| image)
+}
+
+/// [`build_image_scheduled`] that also returns the linker's working
+/// memory: the full `mem_size`-byte memory the image's data segment was
+/// cut from. It exists so tests can check that [`Image::memory`]
+/// reproduces that memory exactly; programs should use the image alone.
+///
+/// # Errors
+///
+/// Fails if the data memory cannot hold the globals.
+///
+/// # Panics
+///
+/// Panics on lowering bugs (malformed programs are rejected by sema).
+pub fn build_image_with_memory(
+    prog: &Program,
+    opt: OptLevel,
+    mem_size: usize,
+    schedule: bool,
+) -> Result<(Image, Memory), VmError> {
+    // The working memory is allocated zeroed and only its first pages are
+    // written, so it costs what the data segment costs, not `mem_size`.
     let mut mem = Memory::new(mem_size);
     // Globals.
     let mut global_addrs = Vec::new();
@@ -162,15 +211,22 @@ pub fn build_image_scheduled(
     for (i, &a) in func_addrs.iter().enumerate() {
         env.mem.store_u64(fn_table + 8 * i as u64, a)?;
     }
-    Ok(Image {
+    let data_start = Memory::FIRST_VALID;
+    let data = env
+        .mem
+        .read_bytes(data_start, (env.mem.brk() - data_start) as usize)?
+        .to_vec();
+    let image = Image {
         code,
-        mem: env.mem,
+        data,
+        mem_size,
         func_addrs,
         func_names,
         global_addrs: env.global_addrs,
         fn_table,
         static_insns,
-    })
+    };
+    Ok((image, env.mem))
 }
 
 fn write_init(

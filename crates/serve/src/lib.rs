@@ -243,7 +243,6 @@ fn serve_session(
             translation_hub: Some(hub.clone()),
             adaptive_background: opts.background,
             persist_path: opts.persist_path.clone(),
-            mem_size: 8 << 20,
             ..Config::default()
         },
     )

@@ -150,7 +150,6 @@ fn run_process(path: &Path, kernel: &str, params: u64) -> ProcessRun {
         PERSIST_SRC,
         Config {
             persist_path: Some(path.to_path_buf()),
-            mem_size: 8 << 20,
             ..Config::default()
         },
     )

@@ -53,7 +53,9 @@ pub struct Config {
     pub static_opt: OptLevel,
     /// Dynamic back end (VCODE vs ICODE×allocator).
     pub backend: Backend,
-    /// Data memory size in bytes.
+    /// Data memory size in bytes: an address-space ceiling for the heap
+    /// and stack. Data memory is demand-zero, so a session pays for the
+    /// static data and the pages its requests touch, not for `mem_size`.
     pub mem_size: usize,
     /// Cycle cost model.
     pub cost: CostModel,
@@ -266,7 +268,7 @@ impl Session {
         if let Some(seed) = config.placement_jitter {
             code.set_placement_jitter(seed);
         }
-        let mut vm = Vm::from_parts(code, image.mem.clone(), rt);
+        let mut vm = Vm::from_parts(code, image.memory(), rt);
         vm.set_cost_model(config.cost);
         vm.set_engine(config.engine.unwrap_or(if config.predecode {
             ExecEngine::Adaptive {

@@ -10,7 +10,7 @@ use crate::error::VmError;
 
 /// The machine's data memory plus a bump allocator for static data,
 /// closures and `malloc`-style host calls.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Memory {
     bytes: Vec<u8>,
     brk: u64,
@@ -39,6 +39,30 @@ impl Memory {
             brk: Memory::FIRST_VALID,
             stack_floor: size as u64,
         }
+    }
+
+    /// Creates a memory of `size` bytes whose initialized data segment is
+    /// `data`, placed at [`Memory::FIRST_VALID`]; the heap break starts
+    /// just past it. Everything else reads as zero.
+    ///
+    /// The backing buffer is allocated zeroed, so the allocator can hand
+    /// out demand-zero pages: only the data segment is copied, and the
+    /// rest of the memory costs nothing until first touched. Bringing up
+    /// a machine is therefore O(`data.len()`), not O(`size`).
+    ///
+    /// # Errors
+    ///
+    /// Refuses ([`VmError::BadAddress`]) a `data` that would run into the
+    /// stack red zone, exactly as [`Memory::alloc`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same `size` conditions as [`Memory::new`].
+    pub fn with_data(size: usize, data: &[u8]) -> Result<Memory, VmError> {
+        let mut mem = Memory::new(size);
+        let base = mem.alloc(data.len() as u64, 1)?;
+        mem.write_bytes(base, data)?;
+        Ok(mem)
     }
 
     /// Size of the memory in bytes.
@@ -315,6 +339,50 @@ mod tests {
         let mut m = Memory::new(1 << 21); // 2 MiB: top 512 KiB reserved
         assert!(m.alloc((1 << 21) - (1 << 19), 8).is_err());
         assert!(m.alloc(1 << 20, 8).is_ok());
+    }
+
+    #[test]
+    fn with_data_places_the_segment_and_zeroes_the_rest() {
+        let data: Vec<u8> = (1..=200u8).collect();
+        let m = Memory::with_data(1 << 16, &data).unwrap();
+        assert_eq!(m.size(), 1 << 16);
+        assert_eq!(m.stack_top(), 1 << 16);
+        assert_eq!(m.brk(), Memory::FIRST_VALID + data.len() as u64);
+        assert_eq!(
+            m.read_bytes(Memory::FIRST_VALID, data.len()).unwrap(),
+            &data[..]
+        );
+        let rest = m.brk() as usize;
+        assert!(m
+            .read_bytes(m.brk(), (1 << 16) - rest)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
+    }
+
+    #[test]
+    fn with_data_alloc_continues_after_the_segment() {
+        let mut m = Memory::with_data(1 << 16, &[7; 13]).unwrap();
+        let a = m.alloc(8, 8).unwrap();
+        assert_eq!(a, (Memory::FIRST_VALID + 13 + 7) & !7);
+        assert_eq!(m.load_u64(a).unwrap(), 0);
+        // An empty segment leaves the break where `new` puts it.
+        let e = Memory::with_data(1 << 16, &[]).unwrap();
+        assert_eq!(e.brk(), Memory::new(1 << 16).brk());
+    }
+
+    #[test]
+    fn with_data_refuses_a_segment_that_does_not_fit() {
+        let size = 1 << 16;
+        assert!(matches!(
+            Memory::with_data(size, &vec![1; size + 1]),
+            Err(VmError::BadAddress(_))
+        ));
+        // The stack reserve (a quarter of a small memory) is off limits
+        // too, as it is for `alloc`.
+        let fits = size * 3 / 4 - Memory::FIRST_VALID as usize;
+        assert!(Memory::with_data(size, &vec![1; fits]).is_ok());
+        assert!(Memory::with_data(size, &vec![1; fits + 1]).is_err());
     }
 
     #[test]

@@ -228,3 +228,51 @@ fn two_processes_share_one_store_under_a_single_writer() {
     drop(shared_c);
     cleanup(&path);
 }
+
+/// Set in the environment of the child process spawned by
+/// `writer_killed_before_drop_leaves_the_store_writable`: the store path
+/// the child writes before exiting without running destructors.
+const CRASH_CHILD_ENV: &str = "TCC_PERSIST_CRASH_CHILD_STORE";
+
+/// The child half of the crash test; a no-op in a normal test run.
+#[test]
+fn crashed_writer_child() {
+    let Some(path) = std::env::var_os(CRASH_CHILD_ENV) else {
+        return;
+    };
+    let mut s = persist_session(MAKE, Path::new(&path));
+    s.call("make", &[9]).expect("compiles");
+    s.flush_persist().expect("the child is the writer");
+    // Die holding the writer role: no destructor runs, so nothing
+    // cleans up the lock file.
+    std::process::exit(0);
+}
+
+#[test]
+fn writer_killed_before_drop_leaves_the_store_writable() {
+    let path = store_path("crash");
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "crashed_writer_child", "--test-threads=1"])
+        .env(CRASH_CHILD_ENV, &path)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("spawns the child");
+    assert!(status.success(), "child failed: {status}");
+    let mut lock = path.clone().into_os_string();
+    lock.push(".lock");
+    assert!(
+        Path::new(&lock).exists(),
+        "the dead writer left its lock file behind"
+    );
+
+    // The next process still becomes the writer and serves the dead
+    // writer's flushed entry.
+    let mut s = persist_session(MAKE, &path);
+    s.call("make", &[9]).expect("disk fill");
+    assert_eq!(s.metrics().persist.disk_hits, 1);
+    s.call("make", &[4]).expect("compiles");
+    s.flush_persist()
+        .expect("a stale lock file must not make the store read-only");
+    drop(s);
+    cleanup(&path);
+}
