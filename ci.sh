@@ -3,7 +3,9 @@
 #
 #   1. formatting        (cargo fmt --check)
 #   2. lints             (cargo clippy, warnings are errors)
-#   3. tier-1 tests      (release build + full test suite)
+#   3. tier-1 tests      (release build + full test suite, including
+#                         the JSON reader properties and the design
+#                         ablations at smoke size)
 #   4. docs              (cargo doc, warnings are errors)
 #   5. suite smoke run   (one small benchmark through every compilation
 #                         path — two static back ends and all three
@@ -54,21 +56,16 @@
 #  16. benchmark tests   (the perfbench package's own unit tests —
 #                         oracles, stats, workload generators — in
 #                         release, through its own manifest)
-#  17. exec regression   (./run_benches.sh --check: full-rep exec bench
-#                         compared against baselines/BENCH_exec.json;
-#                         fails on a >30% drop in any gated speedup
-#                         column — fused, threaded, adaptive, or the
-#                         threaded engine's dispatch_reduction — and
-#                         gates the tiering pipeline's
-#                         tail_p99_improvement column the same way when
-#                         both BENCH_adaptive.json files are present,
-#                         serve throughput/p99 plus the largest
-#                         pool's hit-rate/compiles-per-unique bounds
-#                         when both BENCH_serve.json files are present,
-#                         and persist warm-start speedups — relative
-#                         to baseline and against the absolute 5x
-#                         floor — when both BENCH_persist.json files
-#                         are present)
+#  17. exec regression   (./run_benches.sh --check: full-size exec,
+#                         adaptive, serve and persist runs compared
+#                         against baselines/ by `suite exec-check`
+#                         under the one gate table, tcc_suite::GATES —
+#                         exec speedups and dispatches per insn, the
+#                         adaptive tail ratio, serve throughput/p99
+#                         and largest-pool hit rate/compiles per
+#                         unique, persist warm-start speedup and disk
+#                         hits; a BENCH file missing on either side
+#                         warns and skips that experiment)
 #
 # Fails fast: the first failing step aborts with its exit code.
 set -eu

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! suite [all|table1|figure4|figure5|figure6|figure7|blur|sensitivity|smoke|cache|exec|adaptive|serve|persist|exec-check] [--small] [--smoke] [--json]
+//! suite [all|table1|figure4|figure5|figure6|figure7|blur|sensitivity|smoke|cache|exec|adaptive|serve|persist|ablations|regalloc|codegen|exec-check] [--small] [--smoke] [--json]
 //! ```
 //!
 //! With `--json`, each measured experiment also writes a machine-readable
@@ -32,35 +32,29 @@
 //! disk (`BENCH_persist.json`); the bench asserts the warm process
 //! recompiled nothing and produced bit-identical results, and
 //! `persist --smoke` runs a two-cell sweep with the same asserts — the
-//! CI durability gate. `exec-check [fresh [baseline]]`
-//! compares a freshly written `BENCH_exec.json` (default
-//! `./BENCH_exec.json`) against a committed baseline (default
-//! `baselines/BENCH_exec.json`) and exits non-zero when any gated
-//! speedup column (fused, threaded, adaptive) regresses more than 30%
-//! on any kernel; when the sibling `BENCH_adaptive.json` files exist
-//! on both sides it also gates the tiering pipeline's
-//! `tail_p99_improvement` column, at the looser 50% tail tolerance
-//! (p99 ratios carry tail noise on both sides; missing files or a
-//! pre-tail baseline warn and skip), and when the sibling
-//! `BENCH_serve.json` files exist it gates serve throughput the same
-//! way, serve p99 at its own wider 75% tolerance (the replay tail is
-//! bimodal — see `SERVE_TAIL_TOLERANCE`), plus the service's absolute
-//! bounds (largest-pool hit rate and compiles-per-unique); and when
-//! the sibling `BENCH_persist.json` files exist it gates each
-//! kernel's warm-start speedup, relatively at the 50% tail tolerance
-//! and absolutely against the 5x floor (`PERSIST_MIN_SPEEDUP`). If any
-//! `--json` output file
-//! cannot be written the remaining files are still written and the
-//! run exits non-zero naming every failure.
+//! CI durability gate. `exec-check [fresh [baseline]]` compares a
+//! freshly written `BENCH_exec.json` (default `./BENCH_exec.json`)
+//! against a committed baseline (default `baselines/BENCH_exec.json`),
+//! and each sibling `BENCH_<exp>.json` in the same two directories
+//! against its counterpart, under the gate table `tcc_suite::GATES`
+//! (exec speedups and dispatches per instruction, the adaptive tail
+//! ratio, serve throughput/p99 and largest-pool bounds, persist
+//! warm-start speedups); it exits non-zero on any violated bound, and
+//! a sibling missing on either side warns and skips that experiment.
+//! `ablations`, `regalloc` and `codegen` time the design ablations,
+//! the two ICODE register allocators, and dynamic compilation per
+//! cspec shape and back end (`--smoke`: a few reps, asserts live). If
+//! any `--json` output file cannot be written the remaining files are
+//! still written and the run exits non-zero naming every failure.
 
 use tcc_obs::json::Json;
 use tcc_suite::{
-    adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, benchmarks, cache_bench,
-    cache_json, cache_report, check_adaptive, check_exec, check_persist, check_serve, exec_bench,
-    exec_bench_smoke, exec_json, exec_report, json_report, measure, ns_per_cycle, persist_bench,
-    persist_json, persist_report, report, serve_bench, serve_bench_smoke, serve_json, serve_report,
-    DynBackend, Measurement, PersistBenchOptions, BLUR_FULL, BLUR_SMALL, DEFAULT_TOLERANCE,
-    TAIL_TOLERANCE,
+    ablation_bench, ablation_json, ablation_report, adaptive_bench, adaptive_bench_smoke,
+    adaptive_json, adaptive_report, benchmarks, cache_bench, cache_json, cache_report, check_set,
+    codegen_bench, codegen_json, codegen_report, exec_bench, exec_bench_smoke, exec_json,
+    exec_report, json_report, measure, ns_per_cycle, persist_bench, persist_json, persist_report,
+    regalloc_bench, regalloc_json, regalloc_report, report, serve_bench, serve_bench_smoke,
+    serve_json, serve_report, DynBackend, Measurement, PersistBenchOptions, BLUR_FULL, BLUR_SMALL,
 };
 
 /// Writes one `BENCH_<name>.json`. An unwritable path (read-only cwd,
@@ -113,6 +107,9 @@ fn main() {
         "adaptive",
         "serve",
         "persist",
+        "ablations",
+        "regalloc",
+        "codegen",
         "exec-check",
     ];
     if !known.contains(&what) {
@@ -143,119 +140,51 @@ fn main() {
     }
 
     if what == "exec-check" {
-        // Regression gate over the speedup ratios (wall-clock ns are
-        // machine-dependent; the ratios are not).
+        // Regression gate: every experiment in the gate table, the
+        // named exec files plus their BENCH_<exp>.json siblings.
         let positional: Vec<&String> = args
             .iter()
             .filter(|a| !a.starts_with("--") && a.as_str() != "exec-check")
             .collect();
-        let fresh_path = positional
-            .first()
-            .map(|s| s.as_str())
-            .unwrap_or("BENCH_exec.json");
-        let base_path = positional
-            .get(1)
-            .map(|s| s.as_str())
-            .unwrap_or("baselines/BENCH_exec.json");
-        let read = |p: &str| {
-            std::fs::read_to_string(p).unwrap_or_else(|e| {
-                eprintln!("exec-check: cannot read {p}: {e}");
-                std::process::exit(2);
-            })
+        let path = |i: usize, default: &str| {
+            std::path::PathBuf::from(positional.get(i).map_or(default, |s| s.as_str()))
         };
-        let (fresh, base) = (read(fresh_path), read(base_path));
-        let mut failed = false;
-        match check_exec(&base, &fresh, DEFAULT_TOLERANCE) {
+        match check_set(
+            &path(0, "BENCH_exec.json"),
+            &path(1, "baselines/BENCH_exec.json"),
+        ) {
             Ok(report) => print!("{report}"),
             Err(report) => {
                 eprint!("{report}");
-                failed = true;
+                std::process::exit(1);
             }
         }
-        // Tail-latency gate over the tiering pipeline's sweep. The
-        // adaptive files live next to the exec ones under the same
-        // naming scheme; when either side is missing (a checkout
-        // predating the background worker, or a run that only
-        // regenerated BENCH_exec.json) the gate warns and skips
-        // rather than failing.
-        let fresh_adaptive = fresh_path.replace("exec", "adaptive");
-        let base_adaptive = base_path.replace("exec", "adaptive");
-        match (
-            std::fs::read_to_string(&fresh_adaptive),
-            std::fs::read_to_string(&base_adaptive),
-        ) {
-            (Ok(fresh), Ok(base)) => match check_adaptive(&base, &fresh, TAIL_TOLERANCE) {
-                Ok(report) => print!("\n{report}"),
-                Err(report) => {
-                    eprint!("\n{report}");
-                    failed = true;
-                }
-            },
-            (fresh, base) => {
-                for (path, r) in [(&fresh_adaptive, &fresh), (&base_adaptive, &base)] {
-                    if let Err(e) = r {
-                        eprintln!(
-                            "warning: exec-check: cannot read {path}: {e} — tail gate skipped"
-                        );
-                    }
-                }
-            }
+        return;
+    }
+
+    // Design ablations, allocator comparison, per-shape codegen cost:
+    // their correctness asserts are live at both sizes.
+    let timed = match what {
+        "ablations" => {
+            let rows = ablation_bench(smoke);
+            Some((ablation_json(&rows), ablation_report(&rows)))
         }
-        // Serve-pool gate: same sibling naming scheme as the adaptive
-        // files; missing on either side (a checkout predating the
-        // serve subsystem) warns and skips.
-        let fresh_serve = fresh_path.replace("exec", "serve");
-        let base_serve = base_path.replace("exec", "serve");
-        match (
-            std::fs::read_to_string(&fresh_serve),
-            std::fs::read_to_string(&base_serve),
-        ) {
-            (Ok(fresh), Ok(base)) => match check_serve(&base, &fresh, TAIL_TOLERANCE) {
-                Ok(report) => print!("\n{report}"),
-                Err(report) => {
-                    eprint!("\n{report}");
-                    failed = true;
-                }
-            },
-            (fresh, base) => {
-                for (path, r) in [(&fresh_serve, &fresh), (&base_serve, &base)] {
-                    if let Err(e) = r {
-                        eprintln!(
-                            "warning: exec-check: cannot read {path}: {e} — serve gate skipped"
-                        );
-                    }
-                }
-            }
+        "regalloc" => {
+            let rows = regalloc_bench(smoke);
+            Some((regalloc_json(&rows), regalloc_report(&rows)))
         }
-        // Persist gate: same sibling naming scheme; missing on either
-        // side (a checkout predating the persistent store) warns and
-        // skips.
-        let fresh_persist = fresh_path.replace("exec", "persist");
-        let base_persist = base_path.replace("exec", "persist");
-        match (
-            std::fs::read_to_string(&fresh_persist),
-            std::fs::read_to_string(&base_persist),
-        ) {
-            (Ok(fresh), Ok(base)) => match check_persist(&base, &fresh, TAIL_TOLERANCE) {
-                Ok(report) => print!("\n{report}"),
-                Err(report) => {
-                    eprint!("\n{report}");
-                    failed = true;
-                }
-            },
-            (fresh, base) => {
-                for (path, r) in [(&fresh_persist, &fresh), (&base_persist, &base)] {
-                    if let Err(e) = r {
-                        eprintln!(
-                            "warning: exec-check: cannot read {path}: {e} — persist gate skipped"
-                        );
-                    }
-                }
-            }
+        "codegen" => {
+            let rows = codegen_bench(smoke);
+            Some((codegen_json(&rows), codegen_report(&rows)))
         }
-        if failed {
-            std::process::exit(1);
+        _ => None,
+    };
+    if let Some((j, text)) = timed {
+        if json {
+            write_json(what, &j, &mut failed_writes);
         }
+        print!("{text}");
+        exit_on_write_failures(&failed_writes);
         return;
     }
 

@@ -14,33 +14,34 @@
 //! ```
 //!
 //! or per experiment: `table1`, `figure4`, `figure5`, `figure6`,
-//! `figure7`, `blur`.
+//! `figure7`, `blur`; the design ablations, allocator comparison and
+//! per-shape codegen timings are `ablations`, `regalloc` and `codegen`.
 
+pub mod ablation_bench;
 pub mod adaptive_bench;
 pub mod cache_bench;
 pub mod calibrate;
 pub mod check;
+pub mod codegen_bench;
 pub mod exec_bench;
 pub mod json_report;
 pub mod measure;
 pub mod micro;
 pub mod persist_bench;
 pub mod programs;
+pub mod regalloc_bench;
 pub mod report;
 pub mod serve_bench;
 
+pub use ablation_bench::{ablation_bench, ablation_json, ablation_report, AblationRow};
 pub use adaptive_bench::{
     adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, warm_summary,
     AdaptiveBenchRow, WarmSummary, ADAPTIVE_REUSE_SWEEP,
 };
 pub use cache_bench::{cache_bench, cache_json, cache_report};
 pub use calibrate::ns_per_cycle;
-pub use check::{
-    check_adaptive, check_exec, check_persist, check_serve, gate_failure_line, missing_row_line,
-    parse_adaptive_rows, parse_exec_rows, parse_persist_rows, parse_serve_rows, AdaptiveCheckRow,
-    CheckRow, PersistCheckRow, ServeCheckRow, DEFAULT_TOLERANCE, GATED_COLUMNS,
-    PERSIST_MIN_SPEEDUP, SERVE_MIN_HIT_RATE, SERVE_TAIL_TOLERANCE, TAIL_TOLERANCE,
-};
+pub use check::{check, check_set, experiments, Bound, Gate, GATES};
+pub use codegen_bench::{codegen_bench, codegen_json, codegen_report, CodegenRow};
 pub use exec_bench::{exec_bench, exec_bench_smoke, exec_json, exec_report, ExecBenchRow};
 pub use measure::{measure, measure_with, DynBackend, Measurement};
 pub use persist_bench::{
@@ -48,6 +49,7 @@ pub use persist_bench::{
     PERSIST_KERNELS,
 };
 pub use programs::{benchmarks, BenchDef, BLUR_FULL, BLUR_SMALL};
+pub use regalloc_bench::{regalloc_bench, regalloc_json, regalloc_report, RegallocRow};
 pub use serve_bench::{
     serve_bench, serve_bench_smoke, serve_json, serve_report, ServeBenchRow, SERVE_THREADS,
 };

@@ -229,3 +229,29 @@ pub fn measure_with(bench: &BenchDef, cost: &CostModel) -> Measurement {
         static_check: c1,
     }
 }
+
+/// Mean wall-clock nanoseconds per `run` call over `iters` calls. The
+/// calls go in chunks of at most `chunk`, each on fresh state from
+/// `fresh`, built outside the timed region: dynamic compilation
+/// allocates VM memory on every call, so a chunk bounds what one
+/// session accumulates and memory is never exhausted.
+pub fn time_chunked<S>(
+    iters: u64,
+    chunk: u64,
+    mut fresh: impl FnMut() -> S,
+    mut run: impl FnMut(&mut S),
+) -> f64 {
+    let mut total = std::time::Duration::ZERO;
+    let mut done = 0;
+    while done < iters {
+        let mut s = fresh();
+        let n = (iters - done).min(chunk);
+        let t = std::time::Instant::now();
+        for _ in 0..n {
+            run(&mut s);
+        }
+        total += t.elapsed();
+        done += n;
+    }
+    total.as_nanos() as f64 / iters.max(1) as f64
+}

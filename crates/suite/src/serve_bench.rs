@@ -8,7 +8,7 @@
 //! request's result, instruction count, and cycle count may not depend
 //! on which thread compiled or executed it), and serializes the
 //! results as `BENCH_serve.json` for the regression gate
-//! ([`crate::check_serve`]).
+//! ([`crate::GATES`]).
 
 use tcc_obs::json::Json;
 use tcc_serve::{run_serve, ServeOptions, ServeReport};
@@ -117,10 +117,9 @@ pub fn serve_bench_smoke() -> Vec<ServeBenchRow> {
     run_pools(&ServeOptions::smoke())
 }
 
-/// The sweep as JSON (`BENCH_serve.json`). Rows open on their
-/// `"threads"` key (the scanner contract in [`crate::check`]); the
-/// checksum is a 16-digit hex string so the full 64 bits survive
-/// consumers that read JSON numbers as doubles.
+/// The sweep as JSON (`BENCH_serve.json`), one row per pool keyed by
+/// `"threads"`. The checksum is a 16-digit hex string so the full 64
+/// bits survive consumers that read JSON numbers as doubles.
 pub fn serve_json(rows: &[ServeBenchRow]) -> Json {
     let rows: Vec<Json> = rows
         .iter()

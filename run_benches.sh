@@ -1,38 +1,29 @@
 #!/bin/sh
-# Regenerates every table/figure, runs the criterion benches, and emits
-# the machine-readable BENCH_*.json reports, appending everything to
-# bench_output.txt. Each bench is isolated: a failure is reported loudly
-# (both to stderr and in the log) and the remaining benches still run;
-# the script exits non-zero if any failed.
+# Regenerates every table/figure and ablation through the suite binary,
+# emitting the machine-readable BENCH_*.json reports and appending all
+# output to bench_output.txt. Each experiment is isolated: a failure is
+# reported loudly (both to stderr and in the log) and the remaining
+# experiments still run; the script exits non-zero if any failed.
 #
-#   ./run_benches.sh            full run (criterion + calibrated suite)
-#   ./run_benches.sh --quick    skip criterion; suite JSON emissions
-#                               only, with the exec, adaptive, serve,
-#                               and persist experiments at smoke rep
-#                               counts (equivalence asserts live,
-#                               timings not meaningful)
+#   ./run_benches.sh            full run (every experiment, full size)
+#   ./run_benches.sh --quick    the exec, adaptive, serve, persist,
+#                               ablations, regalloc and codegen
+#                               experiments at --smoke size (asserts
+#                               live, timings not meaningful)
 #   ./run_benches.sh --check    regression gate: run the exec,
 #                               adaptive, serve, and persist
-#                               experiments at full rep counts, then
-#                               compare the fresh BENCH_exec.json
-#                               speedups, the fresh
-#                               BENCH_adaptive.json tail ratios, the
-#                               fresh BENCH_serve.json throughput/p99,
-#                               and the fresh BENCH_persist.json
-#                               warm-start speedups against baselines/
-#                               (fails on a >30% drop in any gated
-#                               speedup column — fused, threaded,
-#                               adaptive — a >50% drop in
-#                               tail_p99_improvement, the serve
-#                               throughput ratio, or a persist
-#                               warm_speedup, a >75% drop in the serve
-#                               p99 ratio (the serve tail is bimodal
-#                               and load-swung), a largest-pool serve
-#                               hit rate below 0.9, serve
-#                               compiles-per-unique above 1, or any
-#                               persist warm_speedup below the
-#                               absolute 5x floor; one retry absorbs
-#                               machine noise)
+#                               experiments at full size, then
+#                               `suite exec-check` compares the fresh
+#                               BENCH files against baselines/ under
+#                               the gate table (tcc_suite::GATES: exec
+#                               speedups and dispatches per insn at
+#                               30%, the adaptive tail ratio, serve
+#                               throughput and persist warm_speedup at
+#                               50%, serve p99 at 75%, largest-pool
+#                               hit rate >= 0.9 and compiles per
+#                               unique <= 1, persist warm_speedup >= 5
+#                               and disk_hits >= cells); one retry
+#                               absorbs machine noise
 set -u
 cd "$(dirname "$0")"
 
@@ -50,7 +41,7 @@ done
 failed=""
 
 if [ "$check" -eq 1 ]; then
-  # Regression gate only: fresh full-rep exec run vs committed baseline.
+  # Regression gate only: fresh full-size runs vs committed baselines.
   # Wall-clock ratios are load-sensitive, so a failed comparison gets
   # one re-measure before the gate fails for real.
   echo "=== exec regression gate ===" >> bench_output.txt
@@ -77,17 +68,6 @@ if [ "$check" -eq 1 ]; then
   exit 1
 fi
 
-if [ "$quick" -eq 0 ]; then
-  for b in table1 figure4 figure5 figure6 figure7 blur codegen regalloc ablations; do
-    echo "=== bench: $b ===" >> bench_output.txt
-    if ! cargo bench -p tcc-bench --bench "$b" >> bench_output.txt 2>&1; then
-      echo "BENCH FAILED: $b (see bench_output.txt)" >&2
-      echo "=== bench FAILED: $b ===" >> bench_output.txt
-      failed="$failed $b"
-    fi
-  done
-fi
-
 # suite <experiment> [extra flags...] — appends to the log and writes
 # BENCH_<experiment>.json into the repo root.
 run_suite() {
@@ -103,16 +83,14 @@ run_suite() {
 run_suite all all --small
 run_suite cache cache
 if [ "$quick" -eq 0 ]; then
-  run_suite exec exec
-  run_suite adaptive adaptive
-  run_suite serve serve
-  run_suite persist persist
+  size=""
 else
-  run_suite exec exec --smoke
-  run_suite adaptive adaptive --smoke
-  run_suite serve serve --smoke
-  run_suite persist persist --smoke
+  size="--smoke"
 fi
+for e in exec adaptive serve persist ablations regalloc codegen; do
+  # $size is deliberately unquoted: empty in full mode.
+  run_suite "$e" "$e" $size
+done
 
 if [ -n "$failed" ]; then
   echo "BENCHES_FAILED:$failed" >&2
