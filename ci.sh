@@ -12,10 +12,10 @@
 #                         dynamic back ends must agree on the answer)
 #   6. cache smoke run   (the repeat-compile sweep with memoization on:
 #                         hit economics + pointer stability end-to-end)
-#   7. exec smoke run    (the five execution engines — decode-per-step,
-#                         predecoded, predecoded+fused, direct-threaded,
-#                         adaptive — over the loop-heavy kernels with
-#                         the observational-equivalence asserts live,
+#   7. exec smoke run    (the three execution engines — decode-per-step,
+#                         direct-threaded, adaptive — over the
+#                         loop-heavy kernels with the
+#                         observational-equivalence asserts live,
 #                         release mode)
 #   8. adaptive smoke    (the reuse sweep's cold-start cells — including
 #                         the background-worker engine — with the

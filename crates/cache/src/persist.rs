@@ -36,9 +36,10 @@
 //!   and keeps the on-disk image canonical (entries sorted by
 //!   fingerprint encoding, so equal stores are byte-identical).
 //!
-//! `SharedTranslation`s are *not* serialized: they are rebuilt lazily
-//! from the loaded words by the engines that want them, which keeps
-//! the format independent of the decoded-buffer layout.
+//! Only sealed words are stored, never an engine's translation of
+//! them: a session that loads an artifact translates it like any
+//! other function when it gets hot, which keeps the format independent
+//! of the execution engines' buffer layouts.
 
 use std::collections::HashMap;
 use std::fs;
@@ -104,8 +105,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// One artifact as stored on disk: everything a session needs to
 /// re-install the function without recompiling (the persistent
-/// counterpart of `shared::Artifact`, minus the rebuildable
-/// translation).
+/// counterpart of `shared::Artifact`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoredArtifact {
     /// Function name (diagnostics; install reuses it).

@@ -4,11 +4,11 @@
 //! A single process running N worker sessions should pay for one
 //! compile per unique closure, not N. [`SharedArtifacts`] is a
 //! process-wide, thread-safe map from [`Fingerprint`] to an immutable
-//! `Arc`'d [`Artifact`] — the sealed function's words plus (when the
-//! function is position-independent) its shared decoded translation.
-//! Sessions install an artifact's words into their own `CodeSpace`
-//! (`install_function` rebases external calls), so the artifact itself
-//! never aliases mutable VM state and is safe to hand to any thread.
+//! `Arc`'d [`Artifact`] — the sealed function's words and where they
+//! were sealed. Sessions install an artifact's words into their own
+//! `CodeSpace` (`install_function` rebases external calls), so the
+//! artifact itself never aliases mutable VM state and is safe to hand
+//! to any thread.
 //!
 //! Three design points, in the order they matter:
 //!
@@ -41,7 +41,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use tcc_obs::{PersistMetrics, SharedCacheMetrics};
-use tcc_vm::SharedTranslation;
 
 use crate::persist::{PersistentStore, StoredArtifact};
 use crate::Fingerprint;
@@ -60,8 +59,7 @@ const MAX_EVICT_PASSES: usize = 4096;
 /// One compiled closure, immutable and shareable across threads.
 ///
 /// Everything a session needs to *install* the function into its own
-/// `CodeSpace` and pre-seed its decoded translation — no addresses, no
-/// handles, no references into any VM.
+/// `CodeSpace` — no addresses, no handles, no references into any VM.
 #[derive(Clone, Debug)]
 pub struct Artifact {
     /// Function name (diagnostics; install reuses it).
@@ -76,9 +74,6 @@ pub struct Artifact {
     pub bytes: u64,
     /// What the original compilation cost (hit-side savings signal).
     pub compile_ns: u64,
-    /// Shared decoded translation, present when the function is
-    /// position-independent (see `SharedTranslation::build`).
-    pub translation: Option<SharedTranslation>,
 }
 
 /// What a fingerprint request resolved to.
@@ -380,7 +375,6 @@ impl SharedArtifacts {
             bytes: (stored.words.len() * 4) as u64,
             words: stored.words,
             compile_ns: stored.compile_ns,
-            translation: None,
         });
         let last_use = self.next_use();
         shard.entries.insert(
@@ -591,8 +585,7 @@ impl CompileClaim {
         }
         // Record to the persistent store (memory-budget decisions do
         // not apply to disk: even an uncacheable-in-memory artifact is
-        // worth a warm start). The translation is intentionally not
-        // serialized — it is rebuilt lazily from the words.
+        // worth a warm start).
         if let Some(store) = lock(&owner.persist).as_mut() {
             store.record(
                 self.fp.clone(),
@@ -662,7 +655,6 @@ mod tests {
             words: vec![0; words],
             bytes: (words * 4) as u64,
             compile_ns: 100,
-            translation: None,
         }
     }
 
@@ -876,7 +868,6 @@ mod tests {
                     assert!(!waited);
                     assert_eq!(artifact.words, art(1, 8).words);
                     assert_eq!(artifact.orig_start, art(1, 8).orig_start);
-                    assert!(artifact.translation.is_none(), "rebuilt lazily");
                 }
                 Acquire::Miss(_) => panic!("persisted artifact must disk-fill"),
             }

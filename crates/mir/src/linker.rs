@@ -123,10 +123,11 @@ pub fn build_image(prog: &Program, opt: OptLevel, mem_size: usize) -> Result<Ima
 
 /// [`build_image`] with an explicit fusion-scheduler toggle. The
 /// `icode_schedule` ablation knob must cover static code too: the
-/// suite's `fused_pairs_icode_*` comparison translates every function a
-/// kernel executes (setup, drivers, and the dynamic function alike), so
-/// an unscheduled measurement that still schedules the static image
-/// would understate what the scheduler contributes.
+/// suite's `superinstructions_icode_*` comparison counts the threaded
+/// translator's superinstructions over every function a kernel
+/// executes (setup, drivers, and the dynamic function alike), so an
+/// unscheduled measurement that still schedules the static image would
+/// understate what the scheduler contributes.
 ///
 /// # Errors
 ///

@@ -401,19 +401,18 @@ impl PersistMetrics {
     }
 }
 
-/// Execution-engine counters reported by the VM's translated engines
-/// (predecoded and direct-threaded): how much code was translated, how
-/// much fusion found, how many scalar runs were fuel-batched, and
+/// Execution-engine counters reported by the VM's translated engine
+/// (direct-threaded, fixed or as the adaptive engine's top tier): how
+/// much code was translated, how many superinstructions it compiled,
+/// how many scalar runs were fuel-batched, and
 /// which dispatch path retired instructions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
-    /// Functions translated into decoded buffers.
+    /// Functions translated into threaded buffers.
     pub translations: u64,
     /// Code words covered by those translations.
     pub translated_words: u64,
-    /// Instruction pairs fused into superinstructions.
-    pub fused_pairs: u64,
-    /// Instructions retired from decoded buffers.
+    /// Instructions retired from translated buffers.
     pub fast_insns: u64,
     /// Instructions retired by the decode-per-step path.
     pub slow_insns: u64,
@@ -480,7 +479,6 @@ impl ExecMetrics {
         Json::obj(vec![
             ("translations", Json::from(self.translations)),
             ("translated_words", Json::from(self.translated_words)),
-            ("fused_pairs", Json::from(self.fused_pairs)),
             ("fast_insns", Json::from(self.fast_insns)),
             ("slow_insns", Json::from(self.slow_insns)),
             ("invalidations", Json::from(self.invalidations)),
@@ -516,13 +514,17 @@ pub struct AdaptiveMetrics {
     pub total_runs: u64,
     /// Entries executed on decode-per-step (tier 0).
     pub runs_tier0: u64,
-    /// Entries executed on the predecoded+fused engine (tier 1).
+    /// Always `0`: tier 1 (the predecoded+fused engine) was removed and
+    /// the adaptive engine now climbs straight from tier 0 to threaded.
+    /// The field stays so the metric schema (`vm.runs_tier1`) keeps its
+    /// shape for existing readers.
     pub runs_tier1: u64,
     /// Entries executed on the direct-threaded engine (tier 2).
     pub runs_tier2: u64,
-    /// Tier levels gained, cumulative. Always `>= demotions`.
+    /// Functions promoted to the threaded tier, cumulative. Always
+    /// `>= demotions`.
     pub promotions: u64,
-    /// Tier levels lost to epoch-bump demotions, cumulative.
+    /// Threaded functions demoted by epoch bumps, cumulative.
     pub demotions: u64,
     /// Nanoseconds spent translating promoted functions.
     pub translation_ns: u64,
@@ -531,7 +533,7 @@ pub struct AdaptiveMetrics {
     /// ns/word; 0 until something has been translated).
     pub translation_ns_saved: u64,
     /// Translations built on the background worker and swapped in at a
-    /// function entry (`adaptive_background` mode only).
+    /// function entry or loop backedge (background mode only).
     pub async_translations: u64,
     /// Background translations discarded on receipt because the live
     /// epoch moved between enqueue and completion.
@@ -548,7 +550,7 @@ impl AdaptiveMetrics {
         if self.total_runs == 0 {
             0.0
         } else {
-            (self.runs_tier1 + self.runs_tier2) as f64 / self.total_runs as f64
+            self.runs_tier2 as f64 / self.total_runs as f64
         }
     }
 
@@ -795,8 +797,7 @@ mod tests {
         let m = AdaptiveMetrics {
             total_runs: 4,
             runs_tier0: 1,
-            runs_tier1: 1,
-            runs_tier2: 2,
+            runs_tier2: 3,
             ..Default::default()
         };
         assert_eq!(m.promoted_run_rate(), 0.75);

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use rand::distributions::{Distribution, Zipf};
 use rand::{rngs::StdRng, SeedableRng};
-use tcc::{Config, Error, Session, SharedArtifacts, TransHub, VmError};
+use tcc::{Config, Error, ExecEngine, Session, SharedArtifacts, TransHub, VmError};
 use tcc_obs::SharedCacheMetrics;
 
 /// The service's code-generating kernels: one `C entry point per
@@ -241,7 +241,10 @@ fn serve_session(
         Config {
             shared: Some(Arc::clone(shared)),
             translation_hub: Some(hub.clone()),
-            adaptive_background: opts.background,
+            engine: ExecEngine::Adaptive {
+                thread_after: tcc::DEFAULT_THREAD_AFTER,
+                background: opts.background,
+            },
             persist_path: opts.persist_path.clone(),
             ..Config::default()
         },

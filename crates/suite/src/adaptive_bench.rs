@@ -45,17 +45,15 @@ const TARGET_NS: u64 = 40_000_000;
 
 /// The engines compared per cell. The adaptive engine runs with its
 /// shipping defaults (`ExecEngine::default()`); `adaptive-bg` is the
-/// same thresholds with translation handed to the background worker,
+/// same threshold with translation handed to the background worker,
 /// so its per-run tail (`run_p99_*`) prices what moving translation
 /// off the critical path buys at the promotion points.
-const ENGINES: [(&str, ExecEngine); 5] = [
+const ENGINES: [(&str, ExecEngine); 4] = [
     ("decode", ExecEngine::DecodePerStep),
-    ("fused", ExecEngine::Predecoded { fuse: true }),
     ("threaded", ExecEngine::Threaded),
     (
         "adaptive",
         ExecEngine::Adaptive {
-            fuse_after: tcc::DEFAULT_FUSE_AFTER,
             thread_after: tcc::DEFAULT_THREAD_AFTER,
             background: false,
         },
@@ -63,7 +61,6 @@ const ENGINES: [(&str, ExecEngine); 5] = [
     (
         "adaptive-bg",
         ExecEngine::Adaptive {
-            fuse_after: tcc::DEFAULT_FUSE_AFTER,
             thread_after: tcc::DEFAULT_THREAD_AFTER,
             background: true,
         },
@@ -82,8 +79,6 @@ pub struct AdaptiveBenchRow {
     pub reps: u64,
     /// Fastest cold start, ns: decode-per-step.
     pub decode_ns: u64,
-    /// Fastest cold start, ns: predecoded + fused.
-    pub fused_ns: u64,
     /// Fastest cold start, ns: direct-threaded.
     pub threaded_ns: u64,
     /// Fastest cold start, ns: adaptive tiering, default thresholds.
@@ -94,8 +89,6 @@ pub struct AdaptiveBenchRow {
     pub promotions: u64,
     /// Warm marginal ns per run (translations long paid): decode.
     pub warm_decode_ns: u64,
-    /// Warm marginal ns per run: predecoded + fused.
-    pub warm_fused_ns: u64,
     /// Warm marginal ns per run: direct-threaded.
     pub warm_threaded_ns: u64,
     /// Warm marginal ns per run: adaptive at its steady-state tier.
@@ -117,7 +110,7 @@ pub struct AdaptiveBenchRow {
 impl AdaptiveBenchRow {
     /// The cheapest fixed engine for this cell.
     pub fn best_fixed_ns(&self) -> u64 {
-        self.decode_ns.min(self.fused_ns).min(self.threaded_ns)
+        self.decode_ns.min(self.threaded_ns)
     }
 
     /// Adaptive cost relative to the best fixed engine (1.0 = matched
@@ -134,9 +127,7 @@ impl AdaptiveBenchRow {
 
     /// The cheapest fixed engine once everything is warm.
     pub fn warm_best_fixed_ns(&self) -> u64 {
-        self.warm_decode_ns
-            .min(self.warm_fused_ns)
-            .min(self.warm_threaded_ns)
+        self.warm_decode_ns.min(self.warm_threaded_ns)
     }
 
     /// Warm marginal cost of the adaptive engine relative to the best
@@ -184,8 +175,6 @@ pub struct WarmSummary {
     pub kernel: &'static str,
     /// Fastest warm ns/run observed: decode-per-step.
     pub warm_decode_ns: u64,
-    /// Fastest warm ns/run observed: predecoded + fused.
-    pub warm_fused_ns: u64,
     /// Fastest warm ns/run observed: direct-threaded.
     pub warm_threaded_ns: u64,
     /// Fastest warm ns/run observed: adaptive at its steady-state tier.
@@ -195,9 +184,7 @@ pub struct WarmSummary {
 impl WarmSummary {
     /// The cheapest warm fixed engine for this kernel.
     pub fn warm_best_fixed_ns(&self) -> u64 {
-        self.warm_decode_ns
-            .min(self.warm_fused_ns)
-            .min(self.warm_threaded_ns)
+        self.warm_decode_ns.min(self.warm_threaded_ns)
     }
 
     /// Steady-state cost of the adaptive engine over the best fixed
@@ -215,14 +202,12 @@ pub fn warm_summary(rows: &[AdaptiveBenchRow]) -> Vec<WarmSummary> {
         match out.iter_mut().find(|s| s.kernel == r.kernel) {
             Some(s) => {
                 s.warm_decode_ns = s.warm_decode_ns.min(r.warm_decode_ns);
-                s.warm_fused_ns = s.warm_fused_ns.min(r.warm_fused_ns);
                 s.warm_threaded_ns = s.warm_threaded_ns.min(r.warm_threaded_ns);
                 s.warm_adaptive_ns = s.warm_adaptive_ns.min(r.warm_adaptive_ns);
             }
             None => out.push(WarmSummary {
                 kernel: r.kernel,
                 warm_decode_ns: r.warm_decode_ns,
-                warm_fused_ns: r.warm_fused_ns,
                 warm_threaded_ns: r.warm_threaded_ns,
                 warm_adaptive_ns: r.warm_adaptive_ns,
             }),
@@ -431,20 +416,18 @@ fn compare(b: &BenchDef, reuse: u64, reps: u64) -> AdaptiveBenchRow {
         reuse,
         reps,
         decode_ns: cells[0].ns,
-        fused_ns: cells[1].ns,
-        threaded_ns: cells[2].ns,
-        adaptive_ns: cells[3].ns,
-        adaptive_bg_ns: cells[4].ns,
-        promotions: cells[3].promotions,
+        threaded_ns: cells[1].ns,
+        adaptive_ns: cells[2].ns,
+        adaptive_bg_ns: cells[3].ns,
+        promotions: cells[2].promotions,
         warm_decode_ns: cells[0].warm_ns,
-        warm_fused_ns: cells[1].warm_ns,
-        warm_threaded_ns: cells[2].warm_ns,
-        warm_adaptive_ns: cells[3].warm_ns,
-        warm_adaptive_bg_ns: cells[4].warm_ns,
-        run_max_adaptive_ns: cells[3].run_max_ns,
-        run_p99_adaptive_ns: cells[3].run_p99_ns,
-        run_max_adaptive_bg_ns: cells[4].run_max_ns,
-        run_p99_adaptive_bg_ns: cells[4].run_p99_ns,
+        warm_threaded_ns: cells[1].warm_ns,
+        warm_adaptive_ns: cells[2].warm_ns,
+        warm_adaptive_bg_ns: cells[3].warm_ns,
+        run_max_adaptive_ns: cells[2].run_max_ns,
+        run_p99_adaptive_ns: cells[2].run_p99_ns,
+        run_max_adaptive_bg_ns: cells[3].run_max_ns,
+        run_p99_adaptive_bg_ns: cells[3].run_p99_ns,
     }
 }
 
@@ -481,7 +464,6 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
             Json::obj(vec![
                 ("kernel", Json::from(s.kernel)),
                 ("warm_decode_ns", Json::from(s.warm_decode_ns)),
-                ("warm_fused_ns", Json::from(s.warm_fused_ns)),
                 ("warm_threaded_ns", Json::from(s.warm_threaded_ns)),
                 ("warm_adaptive_ns", Json::from(s.warm_adaptive_ns)),
                 (
@@ -499,7 +481,6 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
                 ("reuse", Json::from(r.reuse)),
                 ("reps", Json::from(r.reps)),
                 ("decode_ns", Json::from(r.decode_ns)),
-                ("fused_ns", Json::from(r.fused_ns)),
                 ("threaded_ns", Json::from(r.threaded_ns)),
                 ("adaptive_ns", Json::from(r.adaptive_ns)),
                 ("adaptive_bg_ns", Json::from(r.adaptive_bg_ns)),
@@ -508,7 +489,6 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
                 ("adaptive_vs_best", Json::from(r.adaptive_vs_best())),
                 ("speedup_vs_threaded", Json::from(r.speedup_vs_threaded())),
                 ("warm_decode_ns", Json::from(r.warm_decode_ns)),
-                ("warm_fused_ns", Json::from(r.warm_fused_ns)),
                 ("warm_threaded_ns", Json::from(r.warm_threaded_ns)),
                 ("warm_adaptive_ns", Json::from(r.warm_adaptive_ns)),
                 ("warm_adaptive_bg_ns", Json::from(r.warm_adaptive_bg_ns)),
@@ -554,15 +534,14 @@ pub fn adaptive_report(rows: &[AdaptiveBenchRow]) -> String {
     out.push_str("Adaptive tiering: cold-start translate+run cost vs reuse count\n");
     out.push_str("(every timed region starts with an empty translation cache)\n\n");
     out.push_str(
-        "  kernel    reuse   decode (ns)    fused (ns)   threaded (ns)   adaptive (ns)   adapt-bg (ns)   vs-best   vs-thread   warm-adapt   warm-vs-best   p99-run   p99-run-bg   promo\n",
+        "  kernel    reuse   decode (ns)   threaded (ns)   adaptive (ns)   adapt-bg (ns)   vs-best   vs-thread   warm-adapt   warm-vs-best   p99-run   p99-run-bg   promo\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "  {:8} {:6}   {:11}   {:11}   {:13}   {:13}   {:13}   {:6.2}x   {:8.2}x   {:10}   {:11.2}x   {:7}   {:10}   {:5}\n",
+            "  {:8} {:6}   {:11}   {:13}   {:13}   {:13}   {:6.2}x   {:8.2}x   {:10}   {:11.2}x   {:7}   {:10}   {:5}\n",
             r.kernel,
             r.reuse,
             r.decode_ns,
-            r.fused_ns,
             r.threaded_ns,
             r.adaptive_ns,
             r.adaptive_bg_ns,
@@ -577,14 +556,13 @@ pub fn adaptive_report(rows: &[AdaptiveBenchRow]) -> String {
     }
     out.push_str(
         "\nSteady state per kernel (fastest warm ns/run across the sweep):\n\n\
-         \x20 kernel      decode    fused   threaded   adaptive   adaptive-vs-best\n",
+         \x20 kernel      decode   threaded   adaptive   adaptive-vs-best\n",
     );
     for s in warm_summary(rows) {
         out.push_str(&format!(
-            "  {:8}  {:8} {:8}   {:8}   {:8}   {:15.2}x\n",
+            "  {:8}  {:8}   {:8}   {:8}   {:15.2}x\n",
             s.kernel,
             s.warm_decode_ns,
-            s.warm_fused_ns,
             s.warm_threaded_ns,
             s.warm_adaptive_ns,
             s.warm_adaptive_vs_best(),
@@ -600,8 +578,9 @@ mod tests {
     #[test]
     fn engines_agree_and_adaptive_promotes_within_a_cell() {
         // One cell end-to-end: compare() panics on any checksum or
-        // counter divergence. Four runs with default thresholds cross
-        // the fuse boundary, so the adaptive engine must promote.
+        // counter divergence. The warm-up runs after the cold reps
+        // carry the kernel past the default threshold, so the adaptive
+        // engine must promote.
         let b = straight_def();
         let row = compare(&b, 4, 2);
         assert_eq!((row.kernel, row.reuse, row.reps), ("straight", 4, 2));
@@ -623,13 +602,11 @@ mod tests {
             reuse: 8,
             reps: 10,
             decode_ns: 4000,
-            fused_ns: 1500,
             threaded_ns: 1000,
             adaptive_ns: 1040,
             adaptive_bg_ns: 1020,
             promotions: 3,
             warm_decode_ns: 400,
-            warm_fused_ns: 120,
             warm_threaded_ns: 100,
             warm_adaptive_ns: 103,
             warm_adaptive_bg_ns: 104,
@@ -700,13 +677,11 @@ mod tests {
             reuse: 1,
             reps: 1,
             decode_ns: 1,
-            fused_ns: 1,
             threaded_ns: 1,
             adaptive_ns: 1,
             adaptive_bg_ns: 1,
             promotions: 0,
             warm_decode_ns: 400,
-            warm_fused_ns: 120,
             warm_threaded_ns: 900, // this cell's threaded hit a stall
             warm_adaptive_ns: 103,
             warm_adaptive_bg_ns: 105,

@@ -11,8 +11,8 @@
 //! DESIGN.md for the schema). `smoke` runs one small benchmark through
 //! all five compilation paths (two static, three dynamic) and exits
 //! non-zero if any path disagrees — the CI gate. `exec` compares the
-//! four execution engines (decode-per-step, predecoded, predecoded +
-//! fused, direct-threaded) on the loop-heavy kernels; `exec --smoke`
+//! three execution engines (decode-per-step, direct-threaded, adaptive
+//! tiering) on the loop-heavy kernels; `exec --smoke`
 //! runs the same comparison at a few reps with the equivalence asserts
 //! live. `adaptive` sweeps reuse counts through the fixed engines and
 //! the adaptive tiering engine — both synchronous and with the

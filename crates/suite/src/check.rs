@@ -112,7 +112,6 @@ const PERSIST: &[&str] = &["kernel"];
 ///   restart must also stay 5x cheaper than compiling, and the warm
 ///   process must answer every cell from disk.
 pub const GATES: &[Gate] = &[
-    gate("exec", EXEC, "speedup_fused", Bound::Higher(0.30)),
     gate("exec", EXEC, "speedup_threaded", Bound::Higher(0.30)),
     gate("exec", EXEC, "speedup_adaptive", Bound::Higher(0.30)),
     gate("exec", EXEC, "dispatches_per_insn", Bound::Lower(0.30)),
@@ -403,8 +402,8 @@ mod tests {
         j.pretty()
     }
 
-    fn sample_row(name: &'static str, decode_ns: u64, fused_ns: u64) -> ExecBenchRow {
-        engines_row(name, decode_ns, fused_ns, fused_ns / 2, fused_ns)
+    fn sample_row(name: &'static str, decode_ns: u64, adaptive_ns: u64) -> ExecBenchRow {
+        engines_row(name, decode_ns, adaptive_ns / 2, adaptive_ns)
     }
 
     /// A row with every engine's wall-clock pinned independently, so
@@ -412,7 +411,6 @@ mod tests {
     fn engines_row(
         name: &'static str,
         decode_ns: u64,
-        fused_ns: u64,
         threaded_ns: u64,
         adaptive_ns: u64,
     ) -> ExecBenchRow {
@@ -420,18 +418,15 @@ mod tests {
             name,
             reps: 10,
             decode_ns,
-            predecoded_ns: fused_ns + 100,
-            fused_ns,
             threaded_ns,
             adaptive_ns,
             promotions: 4,
             cycles: 1000,
             insns: 900,
-            fused_pairs: 12,
             hit_rate: 1.0,
             batched_blocks: 40,
-            fused_pairs_icode: 9,
-            fused_pairs_icode_unsched: 7,
+            superinstructions_icode: 9,
+            superinstructions_icode_unsched: 7,
             superinstructions: 6,
             fused_dispatch_rate: 0.4,
             dispatches_per_insn: 0.5,
@@ -449,6 +444,39 @@ mod tests {
     }
 
     #[test]
+    fn every_gated_column_is_emitted_by_its_experiments_writer() {
+        // A column dropped from a writer without its gate row would
+        // fail every fresh file; this fails here instead. Each
+        // experiment's rows come from its real JSON writer.
+        let emitted = |experiment: &str| -> Json {
+            let text = match experiment {
+                "exec" => exec_json(&[sample_row("hash", 4000, 1000)]),
+                "adaptive" => adaptive_json(&[tail_row("hash", 4, 800, 250)]),
+                "serve" => serve_json(&[serve_row(4, 100_000.0, 60_000, 0.96, 0.99)]),
+                "persist" => persist_json(&[persist_row("pk_pow", 120_000, 6_000, 6)]),
+                other => panic!("no sample-row builder for experiment {other}"),
+            }
+            .pretty();
+            rows(&text).unwrap().remove(0)
+        };
+        for g in GATES {
+            let row = emitted(g.experiment);
+            let mut columns = vec![g.column];
+            columns.extend_from_slice(g.key);
+            if let Bound::AtLeast(other) = g.bound {
+                columns.push(other);
+            }
+            for column in columns {
+                assert!(
+                    row.get(column).is_some_and(|v| *v != Json::Null),
+                    "{}: gated column {column} is not emitted by its writer",
+                    g.experiment
+                );
+            }
+        }
+    }
+
+    #[test]
     fn roundtrips_through_the_emitted_json() {
         let rows = rows(
             &exec_json(&[sample_row("hash", 4000, 1000), sample_row("ms", 9000, 2000)]).pretty(),
@@ -456,10 +484,9 @@ mod tests {
         .unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("name"), Some(&Json::from("hash")));
-        assert_eq!(cell(&rows[0], "speedup_fused"), Some(4.0));
+        assert_eq!(cell(&rows[0], "speedup_adaptive"), Some(4.0));
         assert_eq!(cell(&rows[1], "speedup_threaded"), Some(9.0));
-        assert_eq!(cell(&rows[0], "speedup_threaded_vs_fused"), Some(2.0));
-        assert_eq!(cell(&rows[0], "fused_pairs_icode_delta"), Some(2.0));
+        assert_eq!(cell(&rows[0], "superinstructions_icode_delta"), Some(2.0));
     }
 
     #[test]
@@ -499,14 +526,14 @@ mod tests {
 
     #[test]
     fn fails_when_only_the_threaded_column_regresses() {
-        // fused and adaptive hold steady; threaded alone drops from
-        // 8.0x to 2.0x. A single-column gate would ship this silently.
-        let base = exec_json(&[engines_row("hash", 4000, 1000, 500, 1000)]).pretty();
-        let fresh = exec_json(&[engines_row("hash", 4000, 1000, 2000, 1000)]).pretty();
+        // adaptive holds steady; threaded alone drops from 8.0x to
+        // 2.0x. A single-column gate would ship this silently.
+        let base = exec_json(&[engines_row("hash", 4000, 500, 1000)]).pretty();
+        let fresh = exec_json(&[engines_row("hash", 4000, 2000, 1000)]).pretty();
         let err = check("exec", &base, &fresh).expect_err("threaded regression");
         let lines = regressions(&err);
         assert!(lines.contains("speedup_threaded"), "{err}");
-        assert!(!lines.contains("speedup_fused"), "{err}");
+        assert!(!lines.contains("speedup_adaptive"), "{err}");
     }
 
     #[test]
@@ -515,10 +542,10 @@ mod tests {
         // dispatches more per instruction (0.5 → 0.9 dispatches/insn,
         // past the 0.5/0.7 ≈ 0.71 ceiling): losing the superinstruction
         // coverage must fail on its own.
-        let base = exec_json(&[engines_row("hash", 4000, 1000, 500, 1000)]).pretty();
+        let base = exec_json(&[engines_row("hash", 4000, 500, 1000)]).pretty();
         let fresh = exec_json(&[ExecBenchRow {
             dispatches_per_insn: 0.9,
-            ..engines_row("hash", 4000, 1000, 500, 1000)
+            ..engines_row("hash", 4000, 500, 1000)
         }])
         .pretty();
         let err = check("exec", &base, &fresh).expect_err("dispatch regression");
@@ -528,7 +555,7 @@ mod tests {
         // 0.7 dispatches/insn is a 29% drop in the reciprocal: inside.
         let ok = exec_json(&[ExecBenchRow {
             dispatches_per_insn: 0.7,
-            ..engines_row("hash", 4000, 1000, 500, 1000)
+            ..engines_row("hash", 4000, 500, 1000)
         }])
         .pretty();
         check("exec", &base, &ok).expect("within tolerance");
@@ -539,14 +566,14 @@ mod tests {
         // A pre-superinstruction baseline has no dispatches_per_insn:
         // the column is skipped with a warning, never gated.
         let base = with_cell(
-            exec_json(&[engines_row("hash", 4000, 1000, 500, 1000)]),
+            exec_json(&[engines_row("hash", 4000, 500, 1000)]),
             "dispatches_per_insn",
             None,
         );
         assert!(!base.contains("dispatches_per_insn"));
         let fresh = exec_json(&[ExecBenchRow {
             dispatches_per_insn: 0.99,
-            ..engines_row("hash", 4000, 1000, 500, 1000)
+            ..engines_row("hash", 4000, 500, 1000)
         }])
         .pretty();
         let report = check("exec", &base, &fresh).expect("warns, not fails");
@@ -559,8 +586,8 @@ mod tests {
     #[test]
     fn fails_when_only_the_adaptive_column_regresses() {
         // adaptive alone drops from 4.0x to 1.0x (>30%).
-        let base = exec_json(&[engines_row("hash", 4000, 1000, 500, 1000)]).pretty();
-        let fresh = exec_json(&[engines_row("hash", 4000, 1000, 500, 4000)]).pretty();
+        let base = exec_json(&[engines_row("hash", 4000, 500, 1000)]).pretty();
+        let fresh = exec_json(&[engines_row("hash", 4000, 500, 4000)]).pretty();
         let err = check("exec", &base, &fresh).expect_err("adaptive regression");
         assert!(regressions(&err).contains("speedup_adaptive"), "{err}");
     }
@@ -572,12 +599,12 @@ mod tests {
         // below the others must pass — with a warning — because there
         // is nothing to gate against.
         let base = with_cell(
-            exec_json(&[engines_row("hash", 4000, 1000, 500, 1000)]),
+            exec_json(&[engines_row("hash", 4000, 500, 1000)]),
             "speedup_adaptive",
             None,
         );
         assert!(!base.contains("speedup_adaptive"));
-        let fresh = exec_json(&[engines_row("hash", 4000, 1000, 500, 40000)]).pretty();
+        let fresh = exec_json(&[engines_row("hash", 4000, 500, 40000)]).pretty();
         let report = check("exec", &base, &fresh).expect("warns, not fails");
         assert!(
             report.contains("warning: baseline has no speedup_adaptive"),
@@ -600,13 +627,11 @@ mod tests {
             reuse,
             reps: 4,
             decode_ns: 4000,
-            fused_ns: 1500,
             threaded_ns: 1000,
             adaptive_ns: 1040,
             adaptive_bg_ns: 1020,
             promotions: 3,
             warm_decode_ns: 400,
-            warm_fused_ns: 120,
             warm_threaded_ns: 100,
             warm_adaptive_ns: 103,
             warm_adaptive_bg_ns: 104,

@@ -1,22 +1,22 @@
-//! Execution-engine benchmark: decode-per-step vs predecoded vs
-//! predecoded+fused vs direct-threaded vs adaptive tiering.
+//! Execution-engine benchmark: decode-per-step vs direct-threaded vs
+//! adaptive tiering.
 //!
 //! The paper's premise — pay translation cost once per code body, not
 //! per execution — applies to the VM itself: the reference interpreter
 //! re-fetches, bounds/liveness-checks, decodes, and cost-looks-up every
-//! executed instruction, while the predecoded engine does all of that
-//! once per sealed function, and the direct-threaded engine further
-//! replaces the per-slot `match` with a handler-pointer jump and
-//! charges fuel per basic block; the adaptive engine starts every
-//! function on decode-per-step and climbs those tiers per function as
-//! run counts cross its thresholds. This experiment drives the
-//! loop-heavy suite kernels through all five engines, asserts they are
-//! observationally identical (result checksum, modeled cycles, retired
-//! instructions — the differential contract), and reports wall-clock
-//! speedups. It also measures the ICODE fusion-aware scheduler's
-//! effect: superinstruction pairs found in ICODE-generated code with
-//! the scheduler on vs off. Emitted as `BENCH_exec.json` by the suite
-//! binary.
+//! executed instruction, while the direct-threaded engine does all of
+//! that once per sealed function, dispatches through a handler pointer
+//! per slot (whole superinstruction groups per dispatch) and charges
+//! fuel per basic block; the adaptive engine starts every function on
+//! decode-per-step and promotes it to threaded once its run count (or
+//! loop backedge count) crosses the threshold. This experiment drives
+//! the loop-heavy suite kernels through all three engines, asserts they
+//! are observationally identical (result checksum, modeled cycles,
+//! retired instructions — the differential contract), and reports
+//! wall-clock speedups. It also measures the ICODE fusion-aware
+//! scheduler's effect: threaded superinstructions compiled from
+//! ICODE-generated code with the scheduler on vs off. Emitted as
+//! `BENCH_exec.json` by the suite binary.
 
 use std::time::Instant;
 
@@ -36,28 +36,16 @@ pub const EXEC_BENCHES: [&str; 10] = [
 /// Wall-clock target for each engine's timed region, full mode.
 const TARGET_NS: u64 = 80_000_000;
 
-/// Engine variants compared.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Variant {
-    Decode,
-    Predecoded,
-    Fused,
-    Threaded,
-    Adaptive,
-}
-
-impl Variant {
-    fn engine(self) -> ExecEngine {
-        match self {
-            Variant::Decode => ExecEngine::DecodePerStep,
-            Variant::Predecoded => ExecEngine::Predecoded { fuse: false },
-            Variant::Fused => ExecEngine::Predecoded { fuse: true },
-            Variant::Threaded => ExecEngine::Threaded,
-            // Shipping defaults (Config::default's engine).
-            Variant::Adaptive => ExecEngine::default(),
-        }
-    }
-}
+/// The engines compared, reference first. The adaptive engine runs
+/// with its shipping default (`Config::default`'s engine).
+const ENGINES: [ExecEngine; 3] = [
+    ExecEngine::DecodePerStep,
+    ExecEngine::Threaded,
+    ExecEngine::Adaptive {
+        thread_after: tcc::DEFAULT_THREAD_AFTER,
+        background: false,
+    },
+];
 
 /// One benchmark's engine comparison.
 #[derive(Clone, Debug)]
@@ -68,10 +56,6 @@ pub struct ExecBenchRow {
     pub reps: u64,
     /// Wall-clock ns for the reference (decode-per-step) engine.
     pub decode_ns: u64,
-    /// Wall-clock ns for the predecoded engine, fusion off.
-    pub predecoded_ns: u64,
-    /// Wall-clock ns for the predecoded engine, fusion on.
-    pub fused_ns: u64,
     /// Wall-clock ns for the direct-threaded engine.
     pub threaded_ns: u64,
     /// Wall-clock ns for the adaptive tiering engine (default
@@ -86,19 +70,17 @@ pub struct ExecBenchRow {
     pub cycles: u64,
     /// Instructions retired over the timed reps (identical, asserted).
     pub insns: u64,
-    /// Superinstruction pairs in the fused engine's translations.
-    pub fused_pairs: u64,
-    /// Fused engine's dispatch hit rate (fast-path fraction).
+    /// Threaded engine's dispatch hit rate (fast-path fraction).
     pub hit_rate: f64,
     /// Basic blocks whose fuel was charged in one batch by the threaded
     /// engine over the timed reps.
     pub batched_blocks: u64,
-    /// Superinstruction pairs found in ICODE-backend translations with
-    /// the fusion-aware scheduler ON.
-    pub fused_pairs_icode: u64,
+    /// Superinstruction groups the threaded translator compiles from
+    /// ICODE-backend code with the fusion-aware scheduler ON.
+    pub superinstructions_icode: u64,
     /// Same measurement with the scheduler OFF (the delta is the
     /// scheduler's gain).
-    pub fused_pairs_icode_unsched: u64,
+    pub superinstructions_icode_unsched: u64,
     /// Superinstruction groups compiled by the threaded translator
     /// (run+jump, run+branch, pair, triple).
     pub superinstructions: u64,
@@ -120,16 +102,6 @@ pub struct ExecBenchRow {
 pub const PAIR_HISTOGRAM_TOP: usize = 16;
 
 impl ExecBenchRow {
-    /// Wall-clock speedup of predecoding alone over decode-per-step.
-    pub fn speedup_predecoded(&self) -> f64 {
-        self.decode_ns as f64 / self.predecoded_ns.max(1) as f64
-    }
-
-    /// Wall-clock speedup of predecoding + fusion over decode-per-step.
-    pub fn speedup_fused(&self) -> f64 {
-        self.decode_ns as f64 / self.fused_ns.max(1) as f64
-    }
-
     /// Wall-clock speedup of direct-threading over decode-per-step.
     pub fn speedup_threaded(&self) -> f64 {
         self.decode_ns as f64 / self.threaded_ns.max(1) as f64
@@ -140,16 +112,10 @@ impl ExecBenchRow {
         self.decode_ns as f64 / self.adaptive_ns.max(1) as f64
     }
 
-    /// Wall-clock speedup of direct-threading over the fused engine —
-    /// the tentpole claim (>= 1.2x on most kernels).
-    pub fn speedup_threaded_vs_fused(&self) -> f64 {
-        self.fused_ns as f64 / self.threaded_ns.max(1) as f64
-    }
-
-    /// Extra superinstruction pairs the ICODE fusion-aware scheduler
-    /// exposed (scheduler on minus off).
-    pub fn fused_pairs_icode_delta(&self) -> i64 {
-        self.fused_pairs_icode as i64 - self.fused_pairs_icode_unsched as i64
+    /// Extra superinstructions the ICODE fusion-aware scheduler exposed
+    /// (scheduler on minus off).
+    pub fn superinstructions_icode_delta(&self) -> i64 {
+        self.superinstructions_icode as i64 - self.superinstructions_icode_unsched as i64
     }
 }
 
@@ -158,7 +124,6 @@ struct Timed {
     cycles: u64,
     insns: u64,
     checksum: u64,
-    fused_pairs: u64,
     hit_rate: f64,
     batched_blocks: u64,
     promotions: u64,
@@ -168,10 +133,12 @@ struct Timed {
     shapes: Vec<(String, u64)>,
 }
 
-fn make_session(b: &BenchDef, variant: Variant) -> Session {
-    let mut s = Session::new(b.src, Config::default()).expect("benchmark source compiles");
-    s.vm.set_engine(variant.engine());
-    s
+fn make_session(b: &BenchDef, engine: ExecEngine) -> Session {
+    let config = Config {
+        engine,
+        ..Config::default()
+    };
+    Session::new(b.src, config).expect("benchmark source compiles")
 }
 
 /// Timing chunks per engine: the reported total is the fastest
@@ -199,8 +166,8 @@ struct Prepared {
 /// Sets up the workload, compiles the dynamic function, and runs it
 /// once untimed (populating the translation cache, so the timed chunks
 /// measure steady state).
-fn prepare(b: &BenchDef, variant: Variant) -> Prepared {
-    let mut s = make_session(b, variant);
+fn prepare(b: &BenchDef, engine: ExecEngine) -> Prepared {
+    let mut s = make_session(b, engine);
     (b.setup)(&mut s);
     let fp = (b.compile_dyn)(&mut s);
     let checksum = (b.run_dyn)(&mut s, fp);
@@ -236,7 +203,6 @@ fn finish(b: &BenchDef, mut p: Prepared, reps: u64) -> Timed {
         cycles: p.s.cycles(),
         insns: p.s.insns(),
         checksum,
-        fused_pairs: m.exec.fused_pairs,
         hit_rate: m.exec.hit_rate(),
         batched_blocks: m.exec.batched_blocks,
         promotions: m.adaptive.promotions,
@@ -247,24 +213,24 @@ fn finish(b: &BenchDef, mut p: Prepared, reps: u64) -> Timed {
     }
 }
 
-/// Superinstruction pairs found when the kernel's dynamic code comes
-/// from the ICODE back end, with the fusion-aware scheduler on or off.
-/// Run under the fused engine (the pairer) for one execution — pair
-/// counts are a translation-time property, independent of rep count.
-fn icode_fused_pairs(b: &BenchDef, schedule: bool) -> u64 {
+/// Superinstructions the threaded translator compiles when the
+/// kernel's dynamic code comes from the ICODE back end, with the
+/// fusion-aware scheduler on or off. One execution suffices: the count
+/// is a translation-time property, independent of rep count.
+fn icode_superinstructions(b: &BenchDef, schedule: bool) -> u64 {
     let config = Config {
         backend: Backend::Icode {
             strategy: Strategy::LinearScan,
         },
         icode_schedule: schedule,
+        engine: ExecEngine::Threaded,
         ..Config::default()
     };
     let mut s = Session::new(b.src, config).expect("benchmark source compiles");
-    s.vm.set_engine(ExecEngine::Predecoded { fuse: true });
     (b.setup)(&mut s);
     let fp = (b.compile_dyn)(&mut s);
     (b.run_dyn)(&mut s, fp);
-    s.metrics().exec.fused_pairs
+    s.metrics().exec.superinstructions
 }
 
 /// Picks a rep count so the reference engine's timed region lands near
@@ -272,7 +238,7 @@ fn icode_fused_pairs(b: &BenchDef, schedule: bool) -> u64 {
 /// behavior across engines only needs the *same* rep count, which this
 /// guarantees by being computed once per benchmark.
 fn pick_reps(b: &BenchDef, target_ns: u64) -> u64 {
-    let mut s = make_session(b, Variant::Decode);
+    let mut s = make_session(b, ExecEngine::DecodePerStep);
     (b.setup)(&mut s);
     let fp = (b.compile_dyn)(&mut s);
     let mut n: u64 = 1;
@@ -290,17 +256,10 @@ fn pick_reps(b: &BenchDef, target_ns: u64) -> u64 {
     }
 }
 
-/// Runs one benchmark through all five engines at `reps` repetitions,
-/// asserting the observational-equivalence contract.
+/// Runs one benchmark through all three engines at `reps`
+/// repetitions, asserting the observational-equivalence contract.
 fn compare(b: &BenchDef, reps: u64) -> ExecBenchRow {
-    const VARIANTS: [Variant; 5] = [
-        Variant::Decode,
-        Variant::Predecoded,
-        Variant::Fused,
-        Variant::Threaded,
-        Variant::Adaptive,
-    ];
-    let mut prepared: Vec<Prepared> = VARIANTS.iter().map(|&v| prepare(b, v)).collect();
+    let mut prepared: Vec<Prepared> = ENGINES.iter().map(|&e| prepare(b, e)).collect();
     let chunks = reps.clamp(1, TIMING_CHUNKS);
     for c in 0..chunks {
         // Spread `reps` exactly across the chunks (sizes differ by at
@@ -312,16 +271,9 @@ fn compare(b: &BenchDef, reps: u64) -> ExecBenchRow {
     }
     let mut timed = prepared.into_iter().map(|p| finish(b, p, reps));
     let decode = timed.next().unwrap();
-    let predecoded = timed.next().unwrap();
-    let fused = timed.next().unwrap();
     let threaded = timed.next().unwrap();
     let adaptive = timed.next().unwrap();
-    for (label, t) in [
-        ("predecoded", &predecoded),
-        ("fused", &fused),
-        ("threaded", &threaded),
-        ("adaptive", &adaptive),
-    ] {
+    for (label, t) in [("threaded", &threaded), ("adaptive", &adaptive)] {
         assert_eq!(
             (t.checksum, t.cycles, t.insns),
             (decode.checksum, decode.cycles, decode.insns),
@@ -333,18 +285,15 @@ fn compare(b: &BenchDef, reps: u64) -> ExecBenchRow {
         name: b.name,
         reps,
         decode_ns: decode.ns,
-        predecoded_ns: predecoded.ns,
-        fused_ns: fused.ns,
         threaded_ns: threaded.ns,
         adaptive_ns: adaptive.ns,
         promotions: adaptive.promotions,
         cycles: decode.cycles,
         insns: decode.insns,
-        fused_pairs: fused.fused_pairs,
-        hit_rate: fused.hit_rate,
+        hit_rate: threaded.hit_rate,
         batched_blocks: threaded.batched_blocks,
-        fused_pairs_icode: icode_fused_pairs(b, true),
-        fused_pairs_icode_unsched: icode_fused_pairs(b, false),
+        superinstructions_icode: icode_superinstructions(b, true),
+        superinstructions_icode_unsched: icode_superinstructions(b, false),
         superinstructions: threaded.superinstructions,
         fused_dispatch_rate: threaded.fused_dispatch_rate,
         dispatches_per_insn: threaded.dispatches_per_insn,
@@ -381,7 +330,7 @@ pub fn exec_bench() -> Vec<ExecBenchRow> {
         .collect()
 }
 
-/// Smoke run: a few reps of every kernel through all five engines with
+/// Smoke run: a few reps of every kernel through all three engines with
 /// the equivalence asserts live — the CI differential gate. Timing
 /// numbers are not meaningful at this size. Additionally asserts the
 /// superinstruction compiler is alive on every loop kernel: at least
@@ -426,23 +375,23 @@ pub fn exec_json(rows: &[ExecBenchRow]) -> Json {
                 ("name", Json::from(r.name)),
                 ("reps", Json::from(r.reps)),
                 ("decode_ns", Json::from(r.decode_ns)),
-                ("predecoded_ns", Json::from(r.predecoded_ns)),
-                ("fused_ns", Json::from(r.fused_ns)),
                 ("threaded_ns", Json::from(r.threaded_ns)),
                 ("adaptive_ns", Json::from(r.adaptive_ns)),
                 ("promotions", Json::from(r.promotions)),
                 ("cycles", Json::from(r.cycles)),
                 ("insns", Json::from(r.insns)),
-                ("fused_pairs", Json::from(r.fused_pairs)),
                 ("batched_blocks", Json::from(r.batched_blocks)),
-                ("fused_pairs_icode", Json::from(r.fused_pairs_icode)),
                 (
-                    "fused_pairs_icode_unsched",
-                    Json::from(r.fused_pairs_icode_unsched),
+                    "superinstructions_icode",
+                    Json::from(r.superinstructions_icode),
                 ),
                 (
-                    "fused_pairs_icode_delta",
-                    Json::from(r.fused_pairs_icode_delta()),
+                    "superinstructions_icode_unsched",
+                    Json::from(r.superinstructions_icode_unsched),
+                ),
+                (
+                    "superinstructions_icode_delta",
+                    Json::from(r.superinstructions_icode_delta()),
                 ),
                 ("superinstructions", Json::from(r.superinstructions)),
                 ("fused_dispatch_rate", Json::from(r.fused_dispatch_rate)),
@@ -462,14 +411,8 @@ pub fn exec_json(rows: &[ExecBenchRow]) -> Json {
                     ),
                 ),
                 ("dispatch_hit_rate", Json::from(r.hit_rate)),
-                ("speedup_predecoded", Json::from(r.speedup_predecoded())),
-                ("speedup_fused", Json::from(r.speedup_fused())),
                 ("speedup_threaded", Json::from(r.speedup_threaded())),
                 ("speedup_adaptive", Json::from(r.speedup_adaptive())),
-                (
-                    "speedup_threaded_vs_fused",
-                    Json::from(r.speedup_threaded_vs_fused()),
-                ),
             ])
         })
         .collect();
@@ -478,9 +421,9 @@ pub fn exec_json(rows: &[ExecBenchRow]) -> Json {
         (
             "description",
             Json::from(
-                "execution wall-clock: decode-per-step vs predecoded vs predecoded+fused \
-                 vs direct-threaded vs adaptive tiering (identical modeled cycles/insns \
-                 asserted); fused_pairs_icode_* measure the ICODE fusion-aware scheduler",
+                "execution wall-clock: decode-per-step vs direct-threaded vs adaptive \
+                 tiering (identical modeled cycles/insns asserted); \
+                 superinstructions_icode_* measure the ICODE fusion-aware scheduler",
             ),
         ),
         ("rows", Json::Arr(rows)),
@@ -492,24 +435,21 @@ pub fn exec_report(rows: &[ExecBenchRow]) -> String {
     let mut out = String::new();
     out.push_str("Execution engines: wall-clock per kernel (identical modeled cycles)\n\n");
     out.push_str(
-        "  bench     reps   decode (ns)    fused (ns)   threaded (ns)   predec   fused   thread   adapt   t/f     promo   pairs   icodeD   hit    super   srate   d/i\n",
+        "  bench     reps   decode (ns)   threaded (ns)   adaptive (ns)   thread   adapt   a/t     promo   icodeD   hit    super   srate   d/i\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "  {:7} {:6}   {:11}   {:11}   {:13}   {:5.2}x  {:5.2}x  {:5.2}x  {:5.2}x  {:5.2}x   {:5}   {:5}   {:+6}   {:4.2}   {:5}   {:5.2}   {:5.2}\n",
+            "  {:7} {:6}   {:11}   {:13}   {:13}   {:5.2}x  {:5.2}x  {:5.2}x   {:5}   {:+6}   {:4.2}   {:5}   {:5.2}   {:5.2}\n",
             r.name,
             r.reps,
             r.decode_ns,
-            r.fused_ns,
             r.threaded_ns,
-            r.speedup_predecoded(),
-            r.speedup_fused(),
+            r.adaptive_ns,
             r.speedup_threaded(),
             r.speedup_adaptive(),
-            r.speedup_threaded_vs_fused(),
+            r.threaded_ns as f64 / r.adaptive_ns.max(1) as f64,
             r.promotions,
-            r.fused_pairs,
-            r.fused_pairs_icode_delta(),
+            r.superinstructions_icode_delta(),
             r.hit_rate,
             r.superinstructions,
             r.fused_dispatch_rate,
@@ -535,12 +475,11 @@ mod tests {
             row.promotions > 0,
             "adaptive engine promoted nothing: {row:?}"
         );
-        assert!(row.fused_pairs > 0, "fusion found no pairs: {row:?}");
         assert!(row.hit_rate > 0.9, "dispatch mostly fast: {row:?}");
         assert!(row.batched_blocks > 0, "threaded engine batched no blocks");
         assert!(
-            row.fused_pairs_icode >= row.fused_pairs_icode_unsched,
-            "scheduler must never lose pairs: {row:?}"
+            row.superinstructions_icode >= row.superinstructions_icode_unsched,
+            "scheduler must never lose superinstructions: {row:?}"
         );
         assert!(
             row.superinstructions > 0,
@@ -563,18 +502,15 @@ mod tests {
             name: "hash",
             reps: 10,
             decode_ns: 4000,
-            predecoded_ns: 1500,
-            fused_ns: 1000,
             threaded_ns: 500,
             adaptive_ns: 800,
             promotions: 4,
             cycles: 77,
             insns: 42,
-            fused_pairs: 5,
             hit_rate: 0.99,
             batched_blocks: 12,
-            fused_pairs_icode: 9,
-            fused_pairs_icode_unsched: 7,
+            superinstructions_icode: 9,
+            superinstructions_icode_unsched: 7,
             superinstructions: 6,
             fused_dispatch_rate: 0.4,
             dispatches_per_insn: 0.6,
@@ -589,12 +525,10 @@ mod tests {
             "promotions",
             "speedup_adaptive",
             "batched_blocks",
-            "fused_pairs_icode",
-            "fused_pairs_icode_delta",
-            "speedup_predecoded",
-            "speedup_fused",
+            "superinstructions_icode",
+            "superinstructions_icode_unsched",
+            "superinstructions_icode_delta",
             "speedup_threaded",
-            "speedup_threaded_vs_fused",
             "dispatch_hit_rate",
             "superinstructions",
             "fused_dispatch_rate",
@@ -605,10 +539,11 @@ mod tests {
             assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
         }
         assert!(text.contains("addiw+bne"), "histogram shapes serialized");
-        assert!((rows[0].speedup_fused() - 4.0).abs() < 1e-12);
+        for gone in ["predecoded_ns", "fused_ns", "fused_pairs", "speedup_fused"] {
+            assert!(!text.contains(&format!("\"{gone}\"")), "{gone} retired");
+        }
         assert!((rows[0].speedup_threaded() - 8.0).abs() < 1e-12);
         assert!((rows[0].speedup_adaptive() - 5.0).abs() < 1e-12);
-        assert!((rows[0].speedup_threaded_vs_fused() - 2.0).abs() < 1e-12);
-        assert_eq!(rows[0].fused_pairs_icode_delta(), 2);
+        assert_eq!(rows[0].superinstructions_icode_delta(), 2);
     }
 }

@@ -70,32 +70,17 @@ pub struct Config {
     /// Seed for random placement of dynamic code (the paper's §4.4
     /// cache-conscious jitter). `None` = deterministic layout.
     pub placement_jitter: Option<u64>,
-    /// Execute through a translated engine (per-function translation
-    /// cache). Observationally identical to decode-per-step; off = the
-    /// reference interpreter. The engine picked is adaptive
-    /// per-function tiering ([`ExecEngine::Adaptive`] with the
-    /// `adaptive_*` thresholds below) unless `engine` overrides it.
-    pub predecode: bool,
-    /// Explicit execution-engine override; `None` defers to
-    /// `predecode`. Use this to pin a fixed engine (decode-per-step,
-    /// predecoded fused/unfused, threaded) for comparisons.
-    pub engine: Option<ExecEngine>,
-    /// Adaptive tiering: completed runs after which a function is
-    /// promoted to the predecoded+fused engine (tier 1). Calibrated by
-    /// the `suite adaptive` reuse sweep.
-    pub adaptive_fuse_after: u32,
-    /// Adaptive tiering: completed runs after which a function is
-    /// promoted to the direct-threaded engine (tier 2).
-    pub adaptive_thread_after: u32,
-    /// Adaptive tiering: build promoted functions' translations on a
-    /// background worker thread instead of inline, swapping them in at
-    /// a later function entry (and discarding them if an epoch bump
-    /// landed first). Takes translation off the promoting run's
-    /// critical path; off by default.
-    pub adaptive_background: bool,
+    /// Execution engine. Every engine is observationally identical to
+    /// decode-per-step. The default is per-function adaptive tiering
+    /// (decode-per-step, then direct-threaded after
+    /// [`tcc_vm::DEFAULT_THREAD_AFTER`] runs, translating inline); its
+    /// `background` flag moves translation onto a worker thread. Pin
+    /// [`ExecEngine::DecodePerStep`] or [`ExecEngine::Threaded`] for
+    /// comparisons.
+    pub engine: ExecEngine,
     /// Run the ICODE fusion-aware scheduler (sinks pure defs next to
-    /// branches/consumers so superinstruction pairing finds more
-    /// adjacencies). Ablation knob; on by default.
+    /// branches/consumers so the threaded translator finds more
+    /// superinstruction adjacencies). Ablation knob; on by default.
     pub icode_schedule: bool,
     /// Process-wide shared artifact cache (`tcc-serve` multi-tenant
     /// mode). Sessions constructed with clones of one
@@ -109,7 +94,7 @@ pub struct Config {
     /// Shared background translation worker: one `tcc-translate`
     /// thread serving every session's adaptive tier promotions instead
     /// of a worker thread per VM. Only meaningful with an adaptive
-    /// engine and `adaptive_background`.
+    /// `engine` whose `background` flag is set.
     pub translation_hub: Option<TransHub<TccRuntime>>,
     /// On-disk persistent artifact store: compiled closures are
     /// serialized fingerprint-keyed to this path, so a *new process*
@@ -138,11 +123,7 @@ impl Default for Config {
             cache: true,
             code_budget: None,
             placement_jitter: None,
-            predecode: true,
-            engine: None,
-            adaptive_fuse_after: tcc_vm::DEFAULT_FUSE_AFTER,
-            adaptive_thread_after: tcc_vm::DEFAULT_THREAD_AFTER,
-            adaptive_background: false,
+            engine: ExecEngine::default(),
             icode_schedule: true,
             shared: None,
             translation_hub: None,
@@ -263,22 +244,13 @@ impl Session {
             }
         }
         rt.shared = config.shared;
-        rt.shared_cost = config.cost.clone();
         let mut code = image.code.clone();
         if let Some(seed) = config.placement_jitter {
             code.set_placement_jitter(seed);
         }
         let mut vm = Vm::from_parts(code, image.memory(), rt);
         vm.set_cost_model(config.cost);
-        vm.set_engine(config.engine.unwrap_or(if config.predecode {
-            ExecEngine::Adaptive {
-                fuse_after: config.adaptive_fuse_after,
-                thread_after: config.adaptive_thread_after,
-                background: config.adaptive_background,
-            }
-        } else {
-            ExecEngine::DecodePerStep
-        }));
+        vm.set_engine(config.engine);
         if let Some(hub) = config.translation_hub {
             vm.set_translation_hub(hub);
         }
@@ -315,18 +287,6 @@ impl Session {
         }
     }
 
-    /// Seeds translations carried by shared artifacts installed during
-    /// the last call into the VM's per-function translation cache, so
-    /// promoted functions skip the local decode pass.
-    fn drain_preseeds(&mut self) {
-        let pending = self.vm.host_mut().take_pending_preseeds();
-        for (addr, tr) in pending {
-            // A refusal (engine/cost mismatch, already translated)
-            // just leaves the lazy path in charge.
-            self.vm.preseed_translation(addr, &tr);
-        }
-    }
-
     /// Calls function `name` with integer arguments.
     ///
     /// # Errors
@@ -351,9 +311,7 @@ impl Session {
             .addr_of(name)
             .ok_or_else(|| Error::Vm(VmError::Host(format!("no function {name}"))))?;
         self.sync_shared();
-        let r = self.vm.call_f(addr, args, fargs);
-        self.drain_preseeds();
-        Ok(r?)
+        Ok(self.vm.call_f(addr, args, fargs)?)
     }
 
     /// Calls a function by address (e.g. a pointer returned from `C
@@ -364,9 +322,7 @@ impl Session {
     /// Machine fault.
     pub fn call_addr(&mut self, addr: u64, args: &[u64]) -> Result<u64, Error> {
         self.sync_shared();
-        let r = self.vm.call(addr, args);
-        self.drain_preseeds();
-        Ok(r?)
+        Ok(self.vm.call(addr, args)?)
     }
 
     /// Cycles consumed since the last [`Session::reset_counters`].
@@ -422,7 +378,6 @@ impl Session {
                 ExecMetrics {
                     translations: s.translations,
                     translated_words: s.translated_words,
-                    fused_pairs: s.fused_pairs,
                     fast_insns: s.fast_insns,
                     slow_insns: s.slow_insns,
                     invalidations: s.invalidations,
@@ -439,7 +394,7 @@ impl Session {
                 AdaptiveMetrics {
                     total_runs: a.total_runs,
                     runs_tier0: a.runs_tier0,
-                    runs_tier1: a.runs_tier1,
+                    runs_tier1: 0,
                     runs_tier2: a.runs_tier2,
                     promotions: a.promotions,
                     demotions: a.demotions,

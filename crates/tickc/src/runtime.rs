@@ -25,7 +25,7 @@ use tcc_rt::{
 };
 use tcc_vcode::{CodeSink, Vcode};
 use tcc_vm::interp::MachineState;
-use tcc_vm::{CodeSpace, CostModel, HostCall, Memory, SharedTranslation, VmError};
+use tcc_vm::{CodeSpace, HostCall, Memory, VmError};
 
 /// Dynamic back-end selection — the paper's central knob: "tcc allows
 /// the user to select the dynamic back end".
@@ -224,14 +224,6 @@ pub struct TccRuntime {
     /// change means installs may be stale (see
     /// [`TccRuntime::collect_stale_installs`]).
     shared_gen_seen: u64,
-    /// Translations carried by installed artifacts, to be pre-seeded
-    /// into the VM's per-function translation cache once the current
-    /// call unwinds (the host cannot reach the engine from inside a
-    /// host call; `Session` drains this after each `call`).
-    pub(crate) pending_preseeds: Vec<(u64, SharedTranslation)>,
-    /// Cost model shared translations are built against — must match
-    /// the executing VM's for `preseed_translation` to accept them.
-    pub shared_cost: CostModel,
     /// Per-tick cacheability memo (tick id → body is memory-free).
     tick_cacheable: HashMap<usize, bool>,
     arena: Option<VmArena>,
@@ -266,8 +258,6 @@ impl TccRuntime {
             shared: None,
             installed: HashMap::new(),
             shared_gen_seen: 0,
-            pending_preseeds: Vec::new(),
-            shared_cost: CostModel::default(),
             tick_cacheable: HashMap::new(),
             arena: None,
             vspec_seq: 0,
@@ -306,12 +296,6 @@ impl TccRuntime {
             }
         });
         dropped
-    }
-
-    /// Takes the translations queued by installed artifacts, to be fed
-    /// to `Vm::preseed_translation` between calls.
-    pub(crate) fn take_pending_preseeds(&mut self) -> Vec<(u64, SharedTranslation)> {
-        std::mem::take(&mut self.pending_preseeds)
     }
 
     fn compile(&mut self, st: &mut MachineState) -> Result<(), VmError> {
@@ -439,9 +423,6 @@ impl TccRuntime {
                     if let Ok((addr, handle)) =
                         code.install_function(&artifact.name, &artifact.words, artifact.orig_start)
                     {
-                        if let Some(tr) = &artifact.translation {
-                            self.pending_preseeds.push((addr, tr.clone()));
-                        }
                         self.installed
                             .insert(fp_ref.clone(), InstalledShared { addr, handle });
                         st.set_ret(addr);
@@ -512,14 +493,12 @@ impl TccRuntime {
                 // the Arc'd artifact instead of recompiling.
                 let (orig_start, words) = code.function_words(outcome.handle)?;
                 let bytes = (words.len() * 4) as u64;
-                let translation = SharedTranslation::build(&words, &self.shared_cost);
                 claim.publish(Artifact {
                     name: name.clone(),
                     orig_start,
                     words,
                     bytes,
                     compile_ns,
-                    translation,
                 });
                 self.installed.insert(
                     fp.clone(),

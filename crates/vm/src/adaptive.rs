@@ -2,22 +2,21 @@
 //!
 //! The fixed engines trade translation cost against dispatch speed: the
 //! reference interpreter ([`ExecEngine::DecodePerStep`]) pays nothing
-//! up front and the most per instruction, the predecoded+fused engine
-//! pays one decoding pass per function, and the direct-threaded engine
-//! pays the most translation (handler selection, block summaries) for
-//! the fastest dispatch. Which trade wins depends on how often a
-//! function runs — the paper's Figure 5 crossover, recreated at the
-//! execution layer. [`ExecEngine::Adaptive`] makes the choice per
-//! function at run time:
+//! up front and the most per instruction, and the direct-threaded
+//! engine pays one translation per function (handler selection, block
+//! summaries, superinstruction compile) for the fastest dispatch. Which
+//! trade wins depends on how often a function runs — the paper's
+//! Figure 5 crossover, recreated at the execution layer.
+//! [`ExecEngine::Adaptive`] makes the choice per function at run time:
 //!
 //! ```text
-//!            runs >= fuse_after        runs >= thread_after
-//!   tier 0 ─────────────────▶ tier 1 ─────────────────▶ tier 2
-//!   decode-per-step          predecoded+fused          threaded
-//!      ▲                        │                         │
-//!      └────────────────────────┴─────────────────────────┘
-//!                 live-epoch bump (free / patch / eviction):
-//!                 demote to tier 0, drop translations + counts
+//!            runs >= thread_after
+//!   tier 0 ─────────────────────────▶ threaded
+//!   decode-per-step                   direct-threaded
+//!      ▲                                 │
+//!      └─────────────────────────────────┘
+//!        live-epoch bump (free / patch / eviction):
+//!        demote to tier 0, drop translations + counts
 //! ```
 //!
 //! A "run" is one entry of control into the function's live range from
@@ -28,14 +27,15 @@
 //! observed while single-stepping at tier 0 (the backedge counter of a
 //! classic tiered JIT), so a loop-heavy function promotes inside its
 //! first run instead of paying decode price for every iteration until
-//! its entry count catches up. Promotion is evaluated at entry (or at
-//! a backedge clock tick), against the number of *completed* prior
-//! entries, and is monotone per function — a function only moves up
-//! tiers until an epoch bump resets it.
+//! its entry count catches up. The clock only ticks at tier 0, which
+//! is the only tier with somewhere left to climb. Promotion is
+//! evaluated at entry (or at a backedge clock tick), against the number
+//! of *completed* prior entries, and is monotone per function — a
+//! function stays threaded until an epoch bump resets it.
 //!
 //! # Equivalence contract
 //!
-//! The adaptive engine composes the existing dispatchers and falls back
+//! The adaptive engine composes the threaded dispatcher and falls back
 //! to the same reference single-step path, so it inherits the
 //! observational-equivalence contract: identical result values,
 //! `cycles`, `insns`, exit status, and error at the same instruction
@@ -45,7 +45,7 @@
 //!
 //! # Invalidation
 //!
-//! Tier state lives in the `TransCache` next to the translations it
+//! Tier state lives in the translation cache next to the translations it
 //! justified and is validated against [`CodeSpace::live_epoch`] on
 //! every outer-loop iteration (hence after every host call). On any
 //! epoch change — a function freed directly or by `tcc-cache` eviction,
@@ -60,11 +60,11 @@
 //! longer builds its translation inline — the promoting run would stall
 //! for exactly the latency the tiering exists to hide. Instead the
 //! engine snapshots the function's sealed words and enqueues a
-//! translation request (start index, target tier, the live epoch and
-//! cache generation at enqueue) to a background worker thread spawned
-//! lazily and owned by the translation cache. The run loop keeps executing
-//! at the function's current tier; finished translations are drained at
-//! function-entry points and swapped in — or **discarded** when
+//! translation request (start index, the live epoch and cache
+//! generation at enqueue) to a background worker thread spawned lazily
+//! and owned by the translation cache. The run loop keeps executing at
+//! tier 0; finished translations are drained at function-entry points
+//! and loop backedges and swapped in — or **discarded** when
 //! [`CodeSpace::live_epoch`] moved since enqueue (the snapshot no
 //! longer describes live code) or the cache generation changed (the
 //! tier state the request belonged to was rebuilt). Discarding rather
@@ -72,10 +72,11 @@
 //! faulting bit-identical to the synchronous engines; the differential
 //! harness sweeps the worker-backed variants too.
 //!
-//! [`ExecEngine::DecodePerStep`]: crate::predecode::ExecEngine::DecodePerStep
-//! [`ExecEngine::Adaptive`]: crate::predecode::ExecEngine::Adaptive
+//! [`ExecEngine::DecodePerStep`]: crate::interp::ExecEngine::DecodePerStep
+//! [`ExecEngine::Adaptive`]: crate::interp::ExecEngine::Adaptive
 //! [`CodeSpace::live_epoch`]: crate::code::CodeSpace::live_epoch
 
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -85,35 +86,26 @@ use crate::code::CODE_BASE;
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
-use crate::interp::{ExitStatus, Step, Vm, RETURN_SENTINEL};
-use crate::predecode::{DecodedFn, ExecStats};
-use crate::threaded::{ThreadedFn, HANDLER_TABLE_SIZE};
+use crate::interp::{ExecStats, ExitStatus, Step, Vm, RETURN_SENTINEL};
+use crate::threaded::{Shape, ThreadedFn, HANDLER_TABLE_SIZE};
 
-/// Default promotion threshold to tier 1 (predecoded+fused): completed
-/// runs after which one decoding pass has paid for itself. Calibrated
-/// by the `suite adaptive` reuse sweep.
-pub const DEFAULT_FUSE_AFTER: u32 = 2;
-
-/// Default promotion threshold to tier 2 (direct-threaded): completed
-/// runs after which the heavier handler-table translation has paid for
-/// itself. Calibrated by the `suite adaptive` reuse sweep.
+/// Default promotion threshold to the threaded tier: completed runs
+/// after which the handler-table translation has paid for itself.
+/// Calibrated by the `suite adaptive` reuse sweep.
 pub const DEFAULT_THREAD_AFTER: u32 = 8;
 
 /// Execution tier of one function under the adaptive engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
     /// Decode-per-step: no translation cost.
-    Decode = 0,
-    /// Predecoded buffer with superinstruction fusion.
-    Fused = 1,
-    /// Direct-threaded dispatch with basic-block fuel batching.
-    Threaded = 2,
+    Decode,
+    /// Direct-threaded dispatch with basic-block fuel batching and
+    /// superinstructions.
+    Threaded,
 }
 
 /// Sentinel in [`TransCache::tier_idx`]: no tier record covers this
 /// word yet.
-///
-/// [`TransCache::tier_idx`]: crate::predecode::TransCache::tier_idx
 pub(crate) const NO_TIER: u32 = u32::MAX;
 
 /// Backward branches observed while single-stepping that count as one
@@ -124,6 +116,132 @@ pub(crate) const NO_TIER: u32 = u32::MAX;
 /// enough that short loops (the unit-test kernels) never promote off
 /// their entry schedule.
 pub(crate) const BACKEDGES_PER_RUN_BITS: u32 = 6;
+
+/// Per-VM translation cache: threaded buffers indexed by code word,
+/// plus the adaptive tier state that justified them, valid for a single
+/// `CodeSpace::live_epoch`.
+///
+/// Generic over the host because the threaded buffers store handler
+/// function pointers typed over `Vm<H>`.
+pub(crate) struct TransCache<H> {
+    /// The `live_epoch` the cached translations were made under.
+    pub(crate) epoch: u64,
+    /// Word index → direct-threaded translation covering that word
+    /// (shared across the function's whole range).
+    pub(crate) tmap: Vec<Option<Arc<ThreadedFn<H>>>>,
+    /// Word index → index into [`TransCache::tier_fns`] for the live
+    /// function covering that word, or [`NO_TIER`] when untracked. A
+    /// dense mirror of the live ranges so the adaptive engine resolves
+    /// a function entry with one array load instead of a binary search
+    /// plus hash probe per call/return transition.
+    pub(crate) tier_idx: Vec<u32>,
+    /// Adaptive tier state (run count, current tier) per entered
+    /// function, appended on first entry. Dropped together with the
+    /// translations it justifies.
+    pub(crate) tier_fns: Vec<FnTier>,
+    pub(crate) stats: ExecStats,
+    /// Counters specific to the adaptive engine.
+    pub(crate) astats: AdaptiveStats,
+    /// The background translation worker, spawned lazily on the first
+    /// asynchronous promotion and kept for the VM's lifetime.
+    pub(crate) worker: Option<TransWorker<H>>,
+    /// Subscription to a shared multi-tenant translation hub; when set,
+    /// background builds go there instead of a per-VM worker.
+    pub(crate) hub: Option<HubClient<H>>,
+    /// Cache generation, bumped by [`TransCache::clear`]: worker
+    /// responses stamped with an older generation are dropped without
+    /// being installed (their tier state is gone).
+    pub(crate) generation: u64,
+    /// Requests enqueued to the worker whose responses have not been
+    /// received yet (received responses count down even when the result
+    /// is discarded).
+    pub(crate) pending: u32,
+    /// Superinstruction shape frequencies from threaded translations,
+    /// cumulative over translations like
+    /// [`ExecStats::superinstructions`]. Feeds the suite's
+    /// `pair_histogram`; names are formatted only when it is read.
+    pub(crate) shapes: HashMap<Shape, u64>,
+}
+
+impl<H> std::fmt::Debug for TransCache<H> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TransCache")
+            .field("epoch", &self.epoch)
+            .field("tmap", &self.tmap.len())
+            .field("stats", &self.stats)
+            .field("generation", &self.generation)
+            .field("pending", &self.pending)
+            .finish()
+    }
+}
+
+impl<H> TransCache<H> {
+    pub(crate) fn with_epoch(epoch: u64) -> TransCache<H> {
+        TransCache {
+            epoch,
+            tmap: Vec::new(),
+            tier_idx: Vec::new(),
+            tier_fns: Vec::new(),
+            stats: ExecStats::default(),
+            astats: AdaptiveStats::default(),
+            worker: None,
+            hub: None,
+            generation: 0,
+            pending: 0,
+            shapes: HashMap::new(),
+        }
+    }
+
+    /// Drops every cached translation and the adaptive tier state that
+    /// justified it (counters are kept). Bumps the cache generation so
+    /// in-flight background translations enqueued against the old tier
+    /// state are dropped on receipt instead of installed.
+    pub(crate) fn clear(&mut self) {
+        self.generation += 1;
+        for slot in &mut self.tmap {
+            *slot = None;
+        }
+        for slot in &mut self.tier_idx {
+            *slot = NO_TIER;
+        }
+        self.tier_fns.clear();
+    }
+
+    /// Adopts `epoch` if the code space moved on, dropping everything
+    /// cached under the old one.
+    #[inline]
+    pub(crate) fn revalidate(&mut self, epoch: u64) {
+        if epoch != self.epoch {
+            self.clear();
+            self.epoch = epoch;
+            self.stats.invalidations += 1;
+        }
+    }
+
+    /// Whether a threaded buffer already covers word index `idx`.
+    #[inline]
+    pub(crate) fn threaded_cached(&self, idx: usize) -> bool {
+        matches!(self.tmap.get(idx), Some(Some(_)))
+    }
+
+    /// Maps words `start..end` to `tr` and books the translation: the
+    /// one install path for inline and background builds.
+    pub(crate) fn install(&mut self, start: usize, end: usize, tr: &Arc<ThreadedFn<H>>) {
+        if self.tmap.len() < end {
+            self.tmap.resize(end, None);
+        }
+        for slot in &mut self.tmap[start..end] {
+            *slot = Some(Arc::clone(tr));
+        }
+        self.stats.translations += 1;
+        self.stats.translated_words += (end - start) as u64;
+        self.stats.handlers = HANDLER_TABLE_SIZE;
+        self.stats.superinstructions += tr.shapes.len() as u64;
+        for &shape in &tr.shapes {
+            *self.shapes.entry(shape).or_insert(0) += 1;
+        }
+    }
+}
 
 /// Per-function adaptive state, indexed from `tier_idx` by any word of
 /// the function's live range.
@@ -141,11 +259,9 @@ pub(crate) struct FnTier {
     pub(crate) tier: Tier,
     /// Words in the function, for the translation-cost-saved estimate.
     pub(crate) words: u32,
-    /// A tier-1 (decoded) translation request is in flight on the
-    /// background worker; suppresses duplicate enqueues.
-    pub(crate) pending_fused: bool,
-    /// A tier-2 (threaded) translation request is in flight.
-    pub(crate) pending_threaded: bool,
+    /// A threaded translation request is in flight on the background
+    /// worker; suppresses duplicate enqueues.
+    pub(crate) pending: bool,
 }
 
 impl FnTier {
@@ -163,21 +279,20 @@ impl FnTier {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
     /// Function entries executed, across all tiers. Always equals
-    /// `runs_tier0 + runs_tier1 + runs_tier2` (tested invariant).
+    /// `runs_tier0 + runs_tier2` (tested invariant).
     pub total_runs: u64,
     /// Function entries executed on decode-per-step (tier 0).
     pub runs_tier0: u64,
-    /// Function entries executed on the predecoded+fused engine (tier 1).
-    pub runs_tier1: u64,
-    /// Function entries executed on the direct-threaded engine (tier 2).
+    /// Function entries executed on the direct-threaded engine (the top
+    /// tier; the metric keeps its name from the three-tier ladder).
     pub runs_tier2: u64,
-    /// Tier levels gained, cumulative (a 0→2 jump counts 2). Always
-    /// `>= demotions` — a level can only be lost after it was gained.
+    /// Functions promoted to the threaded tier, cumulative. Always
+    /// `>= demotions` — a function can only lose a tier it gained.
     pub promotions: u64,
-    /// Tier levels lost to epoch-bump demotions, cumulative.
+    /// Threaded functions demoted by epoch bumps, cumulative.
     pub demotions: u64,
-    /// Wall-clock nanoseconds spent translating promoted functions
-    /// (decoded and threaded buffers), under this engine only.
+    /// Wall-clock nanoseconds spent translating promoted functions,
+    /// under this engine only.
     pub translation_ns: u64,
     /// Estimated nanoseconds of translation *avoided* so far: words of
     /// run-but-never-promoted functions, priced at this session's
@@ -211,8 +326,6 @@ pub(crate) struct TransRequest {
     words: Vec<u32>,
     /// The cost model in force at enqueue.
     cost: CostModel,
-    /// Target tier ([`Tier::Fused`] or [`Tier::Threaded`]).
-    tier: Tier,
     /// [`crate::code::CodeSpace::live_epoch`] at enqueue; the response
     /// is discarded if the epoch moved before it was received.
     epoch: u64,
@@ -228,22 +341,13 @@ pub(crate) struct TransRequest {
 pub(crate) struct TransDone<H> {
     start: usize,
     end: usize,
-    tier: Tier,
     epoch: u64,
     generation: u64,
     /// Wall-clock build time on the worker (goes into
     /// [`AdaptiveStats::translation_ns`] when installed).
     build_ns: u64,
-    /// Pairs fused during a tier-1 build (folded into `ExecStats`).
-    fused_pairs: u64,
     enqueued: Instant,
-    payload: TransPayload<H>,
-}
-
-/// The built buffer itself.
-enum TransPayload<H> {
-    Fused(Arc<DecodedFn>),
-    Threaded(Arc<ThreadedFn<H>>),
+    tr: Arc<ThreadedFn<H>>,
 }
 
 /// The background translation worker: request/response channels plus
@@ -284,39 +388,22 @@ impl<H> Drop for TransWorker<H> {
     }
 }
 
-/// Builds the translation a request asks for, over its word snapshot,
-/// timing the build. The single build path shared by the per-VM worker
-/// and the multi-tenant [`TransHub`]. Returns `None` for tier 0 (no
-/// translation exists; never legitimately enqueued).
-fn build_translation<H: HostCall>(req: TransRequest) -> Option<TransDone<H>> {
+/// Builds the threaded translation a request asks for, over its word
+/// snapshot, timing the build. The single build path shared by the
+/// per-VM worker and the multi-tenant [`TransHub`].
+fn build_translation<H: HostCall>(req: TransRequest) -> TransDone<H> {
     let end = req.start + req.words.len();
     let t0 = Instant::now();
-    let (payload, fused_pairs) = match req.tier {
-        Tier::Fused => {
-            // The scratch stats capture `fused_pairs` for the build;
-            // they are folded into the VM's counters at install time.
-            let mut scratch = ExecStats::default();
-            let tr =
-                crate::predecode::translate(&req.words, req.start, &req.cost, true, &mut scratch);
-            (TransPayload::Fused(Arc::new(tr)), scratch.fused_pairs)
-        }
-        Tier::Threaded => {
-            let tr = crate::threaded::translate::<H>(&req.words, req.start, &req.cost);
-            (TransPayload::Threaded(Arc::new(tr)), 0)
-        }
-        Tier::Decode => return None,
-    };
-    Some(TransDone {
+    let tr = crate::threaded::translate::<H>(&req.words, req.start, &req.cost);
+    TransDone {
         start: req.start,
         end,
-        tier: req.tier,
         epoch: req.epoch,
         generation: req.generation,
         build_ns: t0.elapsed().as_nanos() as u64,
-        fused_pairs,
         enqueued: req.enqueued,
-        payload,
-    })
+        tr: Arc::new(tr),
+    }
 }
 
 /// The worker thread body: translate each request over its word
@@ -324,10 +411,7 @@ fn build_translation<H: HostCall>(req: TransRequest) -> Option<TransDone<H>> {
 /// either channel closes.
 fn worker_loop<H: HostCall>(rx: &mpsc::Receiver<TransRequest>, tx: &mpsc::Sender<TransDone<H>>) {
     while let Ok(req) = rx.recv() {
-        let Some(done) = build_translation::<H>(req) else {
-            continue;
-        };
-        if tx.send(done).is_err() {
+        if tx.send(build_translation::<H>(req)).is_err() {
             return;
         }
     }
@@ -422,9 +506,7 @@ impl<H> Drop for HubInner<H> {
 /// hub keeps serving everyone else.
 fn hub_loop<H: HostCall>(rx: &mpsc::Receiver<HubJob<H>>) {
     while let Ok(job) = rx.recv() {
-        if let Some(done) = build_translation::<H>(job.req) {
-            let _ = job.reply.send(done);
-        }
+        let _ = job.reply.send(build_translation::<H>(job.req));
     }
 }
 
@@ -452,22 +534,13 @@ pub(crate) fn saved_estimate(cold_words: u64, translation_ns: u64, translated_wo
     u64::try_from(scaled).unwrap_or(u64::MAX)
 }
 
-/// The translation handle an [`Active`] function dispatches through.
-/// `None` covers tier 0 and tiers whose translation was refused — both
-/// single-step on the reference path.
-enum ActiveTr<H> {
-    None,
-    Fused(Arc<DecodedFn>),
-    Threaded(Arc<ThreadedFn<H>>),
-}
-
 /// A function the adaptive run loop is attributed to (or just left):
-/// absolute bounds, its tier record, and the translation handle for its
-/// tier, all memoized in the loop so steady-state dispatch touches no
-/// cache at all. The fixed threaded engine pays one `tmap` probe and an
-/// `Arc` clone per call/return transition; keeping the two sides of the
-/// transition warm here is what lets adaptive match it (`suite
-/// adaptive` gates the gap).
+/// absolute bounds, its tier record, and the threaded buffer it
+/// dispatches through, all memoized in the loop so steady-state
+/// dispatch touches no cache at all. The fixed threaded engine pays one
+/// `tmap` probe and an `Arc` clone per call/return transition; keeping
+/// the two sides of the transition warm here is what lets adaptive
+/// match it (`suite adaptive` gates the gap).
 struct Active<H> {
     /// Absolute address bounds of the function's live range.
     lo: u64,
@@ -476,7 +549,10 @@ struct Active<H> {
     fi: u32,
     /// Tier [`Active::tr`] was fetched for; refreshed on promotion.
     tier: Tier,
-    tr: ActiveTr<H>,
+    /// The threaded buffer; `None` at tier 0, while a background build
+    /// is in flight, and where translation was refused — all of which
+    /// single-step on the reference path.
+    tr: Option<Arc<ThreadedFn<H>>>,
     /// Backward transfers observed while running below the granted
     /// tier with a translation in flight (background mode only);
     /// throttles the mid-run worker poll to the hotspot clock's tick.
@@ -489,31 +565,26 @@ impl<H> Active<H> {
     fn contains(&self, pc: u64) -> bool {
         pc >= self.lo && pc < self.hi && pc.is_multiple_of(4)
     }
-}
 
-/// Whether a memoized translation handle is the one `tier` dispatches
-/// through. In background mode a function can run *below* its granted
-/// tier while its translation is in flight; a mismatch at function
-/// entry re-probes the cache so a finished swap is picked up.
-#[inline]
-fn tr_matches<H>(tr: &ActiveTr<H>, tier: Tier) -> bool {
-    matches!(
-        (tr, tier),
-        (ActiveTr::None, Tier::Decode)
-            | (ActiveTr::Fused(_), Tier::Fused)
-            | (ActiveTr::Threaded(_), Tier::Threaded)
-    )
+    /// Whether the memoized buffer is the one `tier` dispatches
+    /// through. In background mode a function granted the threaded tier
+    /// single-steps while its translation is in flight; a mismatch at
+    /// function entry re-probes the cache so a finished swap is picked
+    /// up.
+    #[inline]
+    fn tr_matches(&self) -> bool {
+        self.tr.is_some() == (self.tier == Tier::Threaded)
+    }
 }
 
 impl<H: HostCall> Vm<H> {
-    /// The adaptive engine's run loop. Structure matches
-    /// `run_predecoded` / `run_threaded` — translated dispatch where the
-    /// function's tier has one, reference-engine single steps otherwise
-    /// — with tier selection at each function entry.
+    /// The adaptive engine's run loop. Structure matches `run_threaded`
+    /// — translated dispatch where the function's tier has one,
+    /// reference-engine single steps otherwise — with tier selection at
+    /// each function entry.
     pub(crate) fn run_adaptive(
         &mut self,
         mut pc: u64,
-        fuse_after: u32,
         thread_after: u32,
         background: bool,
     ) -> Result<ExitStatus, VmError> {
@@ -553,34 +624,28 @@ impl<H: HostCall> Vm<H> {
                 if back {
                     std::mem::swap(&mut cur, &mut prev);
                     let c = cur.as_mut().expect("swapped from a hit");
-                    let tier = self.count_entry(c.fi, fuse_after, thread_after);
-                    if tier != c.tier || (background && !tr_matches(&c.tr, tier)) {
+                    let tier = self.count_entry(c.fi, thread_after);
+                    if tier != c.tier || (background && !c.tr_matches()) {
                         c.tier = tier;
                         c.tr = self.fetch_translation(pc, c.fi, tier, background);
                     }
                 } else {
                     prev = std::mem::replace(
                         &mut cur,
-                        self.enter_function(pc, fuse_after, thread_after, background),
+                        self.enter_function(pc, thread_after, background),
                     );
                 }
             }
             // `cur` is a loop local, so dispatching through its memoized
             // translation borrows nothing from `self`.
             let step = if let Some(Active {
-                tr: ActiveTr::Threaded(ref tr),
-                ..
+                tr: Some(ref tr), ..
             }) = cur
             {
                 self.dispatch_threaded(tr, pc)?
-            } else if let Some(Active {
-                tr: ActiveTr::Fused(ref tr),
-                ..
-            }) = cur
-            {
-                self.dispatch(tr, pc)?
             } else {
-                let step = self.step_adaptive_slow(pc)?;
+                let step = self.step_slow(pc)?;
+                self.trans.stats.slow_insns += 1;
                 // Hotspot clock: a backward transfer inside a tier-0
                 // function is a loop iteration paid at full decode
                 // price; enough of them promote the function mid-run,
@@ -588,11 +653,12 @@ impl<H: HostCall> Vm<H> {
                 if let (Some(a), &Step::At(next)) = (cur.as_mut(), &step) {
                     if next <= pc && a.contains(next) {
                         if a.tier == Tier::Decode {
-                            self.note_backedge(a, next, fuse_after, thread_after, background);
+                            self.note_backedge(a, next, thread_after, background);
                         } else if background && self.trans.pending > 0 {
-                            // Granted a tier whose translation is still
-                            // in flight: poll for it mid-loop so the
-                            // swap lands inside this run.
+                            // Granted the threaded tier while its
+                            // translation is still in flight: poll for
+                            // it mid-loop so the swap lands inside this
+                            // run.
                             self.poll_midrun(a, next);
                         }
                     }
@@ -606,24 +672,14 @@ impl<H: HostCall> Vm<H> {
         }
     }
 
-    /// One reference-engine step with slow-path accounting (identical
-    /// to the decode-per-step engine's loop body).
-    #[inline]
-    fn step_adaptive_slow(&mut self, pc: u64) -> Result<Step, VmError> {
-        let step = self.step_slow(pc)?;
-        self.trans.stats.slow_insns += 1;
-        Ok(step)
-    }
-
     /// Records one entry of control into the live function containing
-    /// `pc`, promoting it first if its completed-run count has crossed a
-    /// threshold. Returns the memoized function state, or `None` when
-    /// `pc` is not inside live code (the slow path then raises the exact
-    /// reference fault).
+    /// `pc`, promoting it first if its completed-run count has crossed
+    /// the threshold. Returns the memoized function state, or `None`
+    /// when `pc` is not inside live code (the slow path then raises the
+    /// exact reference fault).
     fn enter_function(
         &mut self,
         pc: u64,
-        fuse_after: u32,
         thread_after: u32,
         background: bool,
     ) -> Option<Active<H>> {
@@ -646,8 +702,7 @@ impl<H: HostCall> Vm<H> {
                     backedges: 0,
                     tier: Tier::Decode,
                     words: (end - start) as u32,
-                    pending_fused: false,
-                    pending_threaded: false,
+                    pending: false,
                 });
                 if self.trans.tier_idx.len() < end {
                     self.trans.tier_idx.resize(end, NO_TIER);
@@ -658,7 +713,7 @@ impl<H: HostCall> Vm<H> {
                 fi
             }
         };
-        let tier = self.count_entry(fi, fuse_after, thread_after);
+        let tier = self.count_entry(fi, thread_after);
         let f = &self.trans.tier_fns[fi as usize];
         let lo = CODE_BASE + (f.start as u64) * 4;
         let hi = lo + u64::from(f.words) * 4;
@@ -674,13 +729,14 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// Mid-run swap point of the async pipeline: the function was
-    /// granted a tier whose translation is still being built, so it is
-    /// single-stepping at reference speed. Backward transfers poll the
-    /// worker on the same 64-iteration clock as the hotspot check and
-    /// swap a finished build in mid-loop — the synchronous engine
-    /// promotes mid-run at exactly this point, and without a matching
-    /// swap point the pipeline would forfeit the whole remaining run
-    /// to the cold tier, *growing* the cold-run tail it exists to cut.
+    /// granted the threaded tier but its translation is still being
+    /// built, so it is single-stepping at reference speed. Backward
+    /// transfers poll the worker on the same 64-iteration clock as the
+    /// hotspot check and swap a finished build in mid-loop — the
+    /// synchronous engine promotes mid-run at exactly this point, and
+    /// without a matching swap point the pipeline would forfeit the
+    /// whole remaining run to tier 0, *growing* the cold-run tail it
+    /// exists to cut.
     #[inline]
     fn poll_midrun(&mut self, a: &mut Active<H>, pc: u64) {
         a.poll_clock = a.poll_clock.wrapping_add(1);
@@ -688,41 +744,30 @@ impl<H: HostCall> Vm<H> {
             return;
         }
         self.poll_background();
-        if !tr_matches(&a.tr, a.tier) {
+        if !a.tr_matches() {
             a.tr = self.fetch_translation(pc, a.fi, a.tier, true);
         }
     }
 
     /// Counts one entry of control into tier record `fi`, promoting the
-    /// function first if its completed-run count has crossed a
+    /// function first if its completed-run count has crossed the
     /// threshold. Returns the tier this entry executes at. This is the
     /// whole per-transition cost once a function is memoized.
     #[inline]
-    fn count_entry(&mut self, fi: u32, fuse_after: u32, thread_after: u32) -> Tier {
+    fn count_entry(&mut self, fi: u32, thread_after: u32) -> Tier {
         let entry = &mut self.trans.tier_fns[fi as usize];
-        let clock = entry.effective_runs();
-        let target = if clock >= u64::from(thread_after) {
-            Tier::Threaded
-        } else if clock >= u64::from(fuse_after) {
-            Tier::Fused
-        } else {
-            Tier::Decode
-        };
-        let promoted = if target > entry.tier {
-            let levels = target as u64 - entry.tier as u64;
-            entry.tier = target;
-            levels
-        } else {
-            0
-        };
+        let promote =
+            entry.tier == Tier::Decode && entry.effective_runs() >= u64::from(thread_after);
+        if promote {
+            entry.tier = Tier::Threaded;
+        }
         entry.runs += 1;
         let tier = entry.tier;
         let astats = &mut self.trans.astats;
-        astats.promotions += promoted;
+        astats.promotions += u64::from(promote);
         astats.total_runs += 1;
         match tier {
             Tier::Decode => astats.runs_tier0 += 1,
-            Tier::Fused => astats.runs_tier1 += 1,
             Tier::Threaded => astats.runs_tier2 += 1,
         }
         tier
@@ -733,119 +778,64 @@ impl<H: HostCall> Vm<H> {
     /// (re-evaluated only when the weighted clock ticks, so the common
     /// case is one increment and one mask test).
     #[inline]
-    fn note_backedge(
-        &mut self,
-        a: &mut Active<H>,
-        pc: u64,
-        fuse_after: u32,
-        thread_after: u32,
-        background: bool,
-    ) {
+    fn note_backedge(&mut self, a: &mut Active<H>, pc: u64, thread_after: u32, background: bool) {
         let entry = &mut self.trans.tier_fns[a.fi as usize];
         entry.backedges += 1;
-        if entry.backedges & ((1 << BACKEDGES_PER_RUN_BITS) - 1) != 0 {
+        if entry.backedges & ((1 << BACKEDGES_PER_RUN_BITS) - 1) != 0
+            || entry.effective_runs() < u64::from(thread_after)
+        {
             return;
         }
-        let clock = entry.effective_runs();
-        let target = if clock >= u64::from(thread_after) {
-            Tier::Threaded
-        } else if clock >= u64::from(fuse_after) {
-            Tier::Fused
-        } else {
-            return;
-        };
-        if target > entry.tier {
-            let levels = target as u64 - entry.tier as u64;
-            entry.tier = target;
-            self.trans.astats.promotions += levels;
-            a.tier = target;
-            a.tr = self.fetch_translation(pc, a.fi, target, background);
-        }
+        entry.tier = Tier::Threaded;
+        self.trans.astats.promotions += 1;
+        a.tier = Tier::Threaded;
+        a.tr = self.fetch_translation(pc, a.fi, Tier::Threaded, background);
     }
 
-    /// The translation handle for `tier` at `pc`. Synchronous mode
-    /// builds (and times) it inline on first use. Background mode never
-    /// builds on this thread: a cached buffer is returned directly, and
-    /// a miss enqueues a request to the worker and falls back to the
-    /// best already-cached lower tier, so the promoting run keeps
-    /// moving at its current speed.
-    fn fetch_translation(&mut self, pc: u64, fi: u32, tier: Tier, background: bool) -> ActiveTr<H> {
-        if background {
-            return self.fetch_translation_bg(pc, fi, tier);
+    /// The threaded buffer for `tier` at `pc` (`None` at tier 0).
+    /// Synchronous mode builds (and times) it inline on first use.
+    /// Background mode never builds on this thread: a cached buffer is
+    /// returned directly, and a miss enqueues a request to the worker
+    /// and returns `None`, so the promoting run keeps moving at tier-0
+    /// speed.
+    fn fetch_translation(
+        &mut self,
+        pc: u64,
+        fi: u32,
+        tier: Tier,
+        background: bool,
+    ) -> Option<Arc<ThreadedFn<H>>> {
+        if tier == Tier::Decode {
+            return None;
         }
-        match tier {
-            Tier::Threaded => match self.threaded_at_counted(pc) {
-                Some(tr) => ActiveTr::Threaded(tr),
-                None => ActiveTr::None,
-            },
-            Tier::Fused => match self.translation_at_counted(pc) {
-                Some(tr) => ActiveTr::Fused(tr),
-                None => ActiveTr::None,
-            },
-            Tier::Decode => ActiveTr::None,
+        if !background {
+            return self.threaded_at_counted(pc);
         }
-    }
-
-    /// Background-mode fetch: cache hits resolve immediately, misses
-    /// enqueue and degrade to the next tier down (a threaded miss can
-    /// still dispatch through an installed decoded buffer).
-    fn fetch_translation_bg(&mut self, pc: u64, fi: u32, tier: Tier) -> ActiveTr<H> {
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        match tier {
-            Tier::Threaded => {
-                if self.trans.threaded_cached(idx) {
-                    return match self.threaded_at(pc) {
-                        Some(tr) => ActiveTr::Threaded(tr),
-                        None => ActiveTr::None,
-                    };
-                }
-                self.enqueue_translation(fi, Tier::Threaded);
-                if self.trans.decoded_cached(idx) {
-                    return match self.translation_at(pc, true) {
-                        Some(tr) => ActiveTr::Fused(tr),
-                        None => ActiveTr::None,
-                    };
-                }
-                ActiveTr::None
-            }
-            Tier::Fused => {
-                if self.trans.decoded_cached(idx) {
-                    return match self.translation_at(pc, true) {
-                        Some(tr) => ActiveTr::Fused(tr),
-                        None => ActiveTr::None,
-                    };
-                }
-                self.enqueue_translation(fi, Tier::Fused);
-                ActiveTr::None
-            }
-            Tier::Decode => ActiveTr::None,
+        if self.trans.threaded_cached(((pc - CODE_BASE) / 4) as usize) {
+            return self.threaded_at(pc);
         }
+        self.enqueue_translation(fi);
+        None
     }
 
     /// Enqueues a translation request for tier record `fi` to the
     /// background worker (spawning it on first use), snapshotting the
     /// function's sealed words plus the epoch/generation the result
     /// must still match to be installed. A request already in flight
-    /// for the same function and tier is not duplicated.
-    fn enqueue_translation(&mut self, fi: u32, tier: Tier) {
+    /// for the same function is not duplicated.
+    fn enqueue_translation(&mut self, fi: u32) {
         let (start, end) = {
             let entry = &mut self.trans.tier_fns[fi as usize];
-            let pending = match tier {
-                Tier::Fused => &mut entry.pending_fused,
-                Tier::Threaded => &mut entry.pending_threaded,
-                Tier::Decode => return,
-            };
-            if *pending {
+            if entry.pending {
                 return;
             }
-            *pending = true;
+            entry.pending = true;
             (entry.start, entry.start + entry.words as usize)
         };
         let req = TransRequest {
             start,
             words: self.state.code.word_slice(start, end).to_vec(),
             cost: self.cost.clone(),
-            tier,
             epoch: self.trans.epoch,
             generation: self.trans.generation,
             enqueued: Instant::now(),
@@ -866,13 +856,8 @@ impl<H: HostCall> Vm<H> {
         } else {
             // Worker unavailable (died mid-session): clear the flag so
             // a later promotion can retry; execution stays correct at
-            // the current tier either way.
-            let entry = &mut self.trans.tier_fns[fi as usize];
-            match tier {
-                Tier::Fused => entry.pending_fused = false,
-                Tier::Threaded => entry.pending_threaded = false,
-                Tier::Decode => {}
-            }
+            // tier 0 either way.
+            self.trans.tier_fns[fi as usize].pending = false;
         }
     }
 
@@ -960,41 +945,10 @@ impl<H: HostCall> Vm<H> {
         // still alive; clear its in-flight flag.
         if let Some(&fi) = self.trans.tier_idx.get(done.start) {
             if fi != NO_TIER {
-                let entry = &mut self.trans.tier_fns[fi as usize];
-                match done.tier {
-                    Tier::Fused => entry.pending_fused = false,
-                    Tier::Threaded => entry.pending_threaded = false,
-                    Tier::Decode => {}
-                }
+                self.trans.tier_fns[fi as usize].pending = false;
             }
         }
-        let need = self.state.code.next_index();
-        match done.payload {
-            TransPayload::Fused(tr) => {
-                if self.trans.map.len() < need {
-                    self.trans.map.resize(need, None);
-                }
-                for slot in self.trans.map[done.start..done.end].iter_mut() {
-                    *slot = Some(Arc::clone(&tr));
-                }
-                self.trans.stats.fused_pairs += done.fused_pairs;
-            }
-            TransPayload::Threaded(tr) => {
-                if self.trans.tmap.len() < need {
-                    self.trans.tmap.resize(need, None);
-                }
-                for slot in self.trans.tmap[done.start..done.end].iter_mut() {
-                    *slot = Some(Arc::clone(&tr));
-                }
-                self.trans.stats.handlers = HANDLER_TABLE_SIZE;
-                self.trans.stats.superinstructions += tr.superinstructions;
-                for (shape, count) in &tr.shapes {
-                    *self.trans.shapes.entry(shape.clone()).or_insert(0) += count;
-                }
-            }
-        }
-        self.trans.stats.translations += 1;
-        self.trans.stats.translated_words += (done.end - done.start) as u64;
+        self.trans.install(done.start, done.end, &done.tr);
         let astats = &mut self.trans.astats;
         astats.translation_ns += done.build_ns;
         astats.translated_words += (done.end - done.start) as u64;
@@ -1002,47 +956,25 @@ impl<H: HostCall> Vm<H> {
         astats.swap_latency_ns += done.enqueued.elapsed().as_nanos() as u64;
     }
 
-    /// Epoch bump observed: count the tier levels lost, drop every
-    /// translation and all tier state, and adopt the new epoch. The
-    /// next entry of any function starts over at tier 0 with a zero run
-    /// count.
+    /// Epoch bump observed: count the threaded functions lost, drop
+    /// every translation and all tier state, and adopt the new epoch.
+    /// The next entry of any function starts over at tier 0 with a zero
+    /// run count.
     fn demote_all(&mut self, epoch: u64) {
-        let lost: u64 = self.trans.tier_fns.iter().map(|t| t.tier as u64).sum();
-        self.trans.astats.demotions += lost;
-        self.trans.clear();
-        self.trans.epoch = epoch;
-        self.trans.stats.invalidations += 1;
-    }
-
-    /// `translation_at`, with the build (cache-miss) path timed into
-    /// [`AdaptiveStats::translation_ns`].
-    fn translation_at_counted(
-        &mut self,
-        pc: u64,
-    ) -> Option<std::sync::Arc<crate::predecode::DecodedFn>> {
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        if self.trans.decoded_cached(idx) {
-            return self.translation_at(pc, true);
-        }
-        let words_before = self.trans.stats.translated_words;
-        let t0 = Instant::now();
-        let tr = self.translation_at(pc, true);
-        let built = self.trans.stats.translated_words - words_before;
-        if built > 0 {
-            self.trans.astats.translation_ns += t0.elapsed().as_nanos() as u64;
-            self.trans.astats.translated_words += built;
-        }
-        tr
+        let lost = self
+            .trans
+            .tier_fns
+            .iter()
+            .filter(|t| t.tier == Tier::Threaded)
+            .count();
+        self.trans.astats.demotions += lost as u64;
+        self.trans.revalidate(epoch);
     }
 
     /// `threaded_at`, with the build (cache-miss) path timed into
     /// [`AdaptiveStats::translation_ns`].
-    fn threaded_at_counted(
-        &mut self,
-        pc: u64,
-    ) -> Option<std::sync::Arc<crate::threaded::ThreadedFn<H>>> {
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        if self.trans.threaded_cached(idx) {
+    fn threaded_at_counted(&mut self, pc: u64) -> Option<Arc<ThreadedFn<H>>> {
+        if self.trans.threaded_cached(((pc - CODE_BASE) / 4) as usize) {
             return self.threaded_at(pc);
         }
         let words_before = self.trans.stats.translated_words;
@@ -1098,11 +1030,11 @@ impl<H: HostCall> Vm<H> {
 mod tests {
     use super::*;
     use crate::code::CodeSpace;
+    use crate::interp::ExecEngine;
     use crate::isa::{Insn, Op};
-    use crate::predecode::ExecEngine;
     use crate::regs::{A0, AT0, ZERO};
 
-    /// sum(1..=n) by counted loop (same shape as predecode's tests).
+    /// sum(1..=n) by counted loop.
     fn loop_code() -> (CodeSpace, u64, crate::code::FuncHandle) {
         let mut cs = CodeSpace::new();
         let f = cs.begin_function("sum");
@@ -1117,14 +1049,10 @@ mod tests {
         (cs, addr, f)
     }
 
-    fn adaptive_vm(
-        fuse_after: u32,
-        thread_after: u32,
-    ) -> (Vm<crate::host::NoHost>, u64, crate::code::FuncHandle) {
+    fn adaptive_vm(thread_after: u32) -> (Vm<crate::host::NoHost>, u64, crate::code::FuncHandle) {
         let (cs, addr, f) = loop_code();
         let mut vm = Vm::new(cs, 1 << 20);
         vm.set_engine(ExecEngine::Adaptive {
-            fuse_after,
             thread_after,
             background: false,
         });
@@ -1132,13 +1060,11 @@ mod tests {
     }
 
     fn adaptive_vm_bg(
-        fuse_after: u32,
         thread_after: u32,
     ) -> (Vm<crate::host::NoHost>, u64, crate::code::FuncHandle) {
         let (cs, addr, f) = loop_code();
         let mut vm = Vm::new(cs, 1 << 20);
         vm.set_engine(ExecEngine::Adaptive {
-            fuse_after,
             thread_after,
             background: true,
         });
@@ -1147,12 +1073,12 @@ mod tests {
 
     #[test]
     fn functions_climb_tiers_at_the_configured_thresholds() {
-        let (mut vm, addr, _) = adaptive_vm(2, 4);
+        let (mut vm, addr, _) = adaptive_vm(4);
         let expect = [
             Tier::Decode,   // run 1: 0 completed runs
             Tier::Decode,   // run 2: 1 completed
-            Tier::Fused,    // run 3: 2 completed >= fuse_after
-            Tier::Fused,    // run 4
+            Tier::Decode,   // run 3
+            Tier::Decode,   // run 4
             Tier::Threaded, // run 5: 4 completed >= thread_after
             Tier::Threaded, // run 6
         ];
@@ -1163,9 +1089,9 @@ mod tests {
             assert_eq!(runs, i as u64 + 1);
         }
         let s = vm.adaptive_stats();
-        assert_eq!(s.promotions, 2);
+        assert_eq!(s.promotions, 1);
         assert_eq!(s.demotions, 0);
-        assert_eq!((s.runs_tier0, s.runs_tier1, s.runs_tier2), (2, 2, 2));
+        assert_eq!((s.runs_tier0, s.runs_tier2), (4, 2));
         assert_eq!(s.total_runs, 6);
         assert!(s.translation_ns > 0, "promoted tiers were translated");
     }
@@ -1173,7 +1099,7 @@ mod tests {
     #[test]
     fn all_tiers_agree_with_reference_results() {
         for n in [0u64, 1, 10, 100] {
-            let (mut vm, addr, _) = adaptive_vm(1, 2);
+            let (mut vm, addr, _) = adaptive_vm(2);
             let want: u64 = (1..=n).sum();
             for run in 0..5 {
                 assert_eq!(vm.call(addr, &[n]).unwrap(), want, "n={n} run={run}");
@@ -1186,24 +1112,57 @@ mod tests {
         // One entry, but hundreds of loop iterations: the backedge
         // clock (64 iterations ≈ one run) must lift the function out of
         // tier 0 during its first run, while the entry count is still 1.
-        let (mut vm, addr, _) = adaptive_vm(2, 100);
+        let (mut vm, addr, _) = adaptive_vm(2);
         assert_eq!(vm.call(addr, &[300]).unwrap(), (1..=300).sum::<u64>());
         let (tier, runs) = vm.adaptive_tier(addr).expect("tracked");
         assert_eq!(runs, 1, "backedges are not entries");
-        assert_eq!(tier, Tier::Fused, "promoted inside the first run");
+        assert_eq!(tier, Tier::Threaded, "promoted inside the first run");
         let s = vm.adaptive_stats();
         assert_eq!(s.total_runs, 1);
-        assert_eq!(s.promotions, 1, "one level gained, mid-run");
+        assert_eq!(s.promotions, 1, "promoted once, mid-run");
         assert_eq!(s.runs_tier0, 1, "the entry itself was counted at tier 0");
+        assert!(
+            vm.exec_stats().fast_insns > 0,
+            "the rest of the loop ran threaded"
+        );
         // A short-loop function stays on its entry schedule.
-        let (mut vm, addr, _) = adaptive_vm(2, 100);
+        let (mut vm, addr, _) = adaptive_vm(2);
         assert_eq!(vm.call(addr, &[10]).unwrap(), 55);
         assert_eq!(vm.adaptive_tier(addr).unwrap().0, Tier::Decode);
     }
 
     #[test]
+    fn long_loop_entered_once_finishes_threaded_like_the_reference() {
+        // Entered once under the default threshold, the loop runs well
+        // past `DEFAULT_THREAD_AFTER << BACKEDGES_PER_RUN_BITS`
+        // backedges: the function must end its only run threaded, with
+        // observables identical to decode-per-step.
+        let n = 4 * (u64::from(DEFAULT_THREAD_AFTER) << BACKEDGES_PER_RUN_BITS);
+        let (cs, addr, _) = loop_code();
+        let mut reference = Vm::new(cs.clone(), 1 << 20);
+        reference.set_engine(ExecEngine::DecodePerStep);
+        let want = (
+            reference.call(addr, &[n]),
+            reference.cycles(),
+            reference.insns(),
+        );
+        assert_eq!(want.0, Ok((1..=n).sum::<u64>() as u32 as u64));
+        let mut vm = Vm::new(cs, 1 << 20);
+        assert_eq!(vm.engine(), ExecEngine::default());
+        let got = (vm.call(addr, &[n]), vm.cycles(), vm.insns());
+        assert_eq!(got, want);
+        let (tier, runs) = vm.adaptive_tier(addr).expect("tracked");
+        assert_eq!((tier, runs), (Tier::Threaded, 1));
+        let s = vm.exec_stats();
+        assert!(
+            s.fast_insns > s.slow_insns,
+            "most of the loop ran threaded: {s:?}"
+        );
+    }
+
+    #[test]
     fn epoch_bump_demotes_and_resets_run_counts() {
-        let (mut vm, addr, _) = adaptive_vm(1, 2);
+        let (mut vm, addr, _) = adaptive_vm(2);
         for _ in 0..4 {
             vm.call(addr, &[3]).unwrap();
         }
@@ -1218,14 +1177,14 @@ mod tests {
         assert_eq!(tier, Tier::Decode, "demoted to tier 0");
         assert_eq!(runs, 1, "run count restarted");
         let s = vm.adaptive_stats();
-        assert_eq!(s.demotions, 2, "threaded function lost two levels");
+        assert_eq!(s.demotions, 1, "the threaded function was demoted");
         assert!(s.promotions >= s.demotions);
     }
 
     #[test]
     fn freed_hot_function_faults_stale_at_every_tier() {
         for warm_runs in [0u64, 1, 3, 8] {
-            let (mut vm, addr, f) = adaptive_vm(1, 2);
+            let (mut vm, addr, f) = adaptive_vm(2);
             for _ in 0..warm_runs {
                 vm.call(addr, &[2]).unwrap();
             }
@@ -1248,8 +1207,7 @@ mod tests {
         let cold = cs.finish_function(g).unwrap();
         let mut vm = Vm::new(cs, 1 << 20);
         vm.set_engine(ExecEngine::Adaptive {
-            fuse_after: 2,
-            thread_after: 100,
+            thread_after: 2,
             background: false,
         });
         vm.call(cold, &[1]).unwrap();
@@ -1286,7 +1244,7 @@ mod tests {
 
     #[test]
     fn background_promotion_matches_reference_results() {
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+        let (mut vm, addr, _) = adaptive_vm_bg(2);
         for run in 0..8 {
             assert_eq!(vm.call(addr, &[10]).unwrap(), 55, "run {run}");
         }
@@ -1310,13 +1268,13 @@ mod tests {
     #[test]
     fn epoch_bump_between_enqueue_and_completion_discards_translation() {
         use crate::isa::{Insn, Op};
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 100);
-        // Two entries: the second crosses `fuse_after` and enqueues a
-        // tier-1 build on the worker.
+        let (mut vm, addr, _) = adaptive_vm_bg(1);
+        // Two entries: the second crosses `thread_after` and enqueues a
+        // threaded build on the worker.
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         let (tier, _) = vm.adaptive_tier(addr).expect("tracked");
-        assert_eq!(tier, Tier::Fused, "promotion granted at entry 2");
+        assert_eq!(tier, Tier::Threaded, "promotion granted at entry 2");
         // The epoch bump lands between enqueue and receipt: patch a
         // live word (same instruction, so results are unchanged) before
         // draining the worker.
@@ -1341,7 +1299,7 @@ mod tests {
         vm.drain_background_translations();
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         let (tier, _) = vm.adaptive_tier(addr).expect("tracked");
-        assert_eq!(tier, Tier::Fused, "re-promoted after the bump");
+        assert_eq!(tier, Tier::Threaded, "re-promoted after the bump");
         let s = vm.adaptive_stats();
         assert_eq!(s.async_translations, 1, "the re-built translation landed");
         assert_eq!(s.discarded_stale, 1);
@@ -1352,7 +1310,7 @@ mod tests {
         let hub = TransHub::spawn();
         let mut vms = Vec::new();
         for _ in 0..2 {
-            let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+            let (mut vm, addr, _) = adaptive_vm_bg(2);
             vm.set_translation_hub(hub.clone());
             vms.push((vm, addr));
         }
@@ -1384,7 +1342,7 @@ mod tests {
         for t in 0..2 {
             let hub = hub.clone();
             handles.push(thread::spawn(move || {
-                let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+                let (mut vm, addr, _) = adaptive_vm_bg(2);
                 vm.set_translation_hub(hub);
                 for run in 0..6 {
                     assert_eq!(vm.call(addr, &[10]).unwrap(), 55, "t{t} run {run}");
@@ -1400,7 +1358,7 @@ mod tests {
 
     #[test]
     fn background_worker_shuts_down_on_drop() {
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+        let (mut vm, addr, _) = adaptive_vm_bg(2);
         for _ in 0..4 {
             vm.call(addr, &[5]).unwrap();
         }

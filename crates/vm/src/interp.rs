@@ -4,18 +4,132 @@
 //! cycles from the [`CostModel`]; taken branches pay an extra cycle. A
 //! fuel limit bounds runaway loops.
 
+use crate::adaptive::{TransCache, DEFAULT_THREAD_AFTER};
 use crate::code::{CodeSpace, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::{HostCall, NoHost};
 use crate::isa::{Insn, Op};
 use crate::mem::Memory;
-use crate::predecode::{ExecEngine, ExecStats, TransCache};
 use crate::regs::{ARG_REGS, FARG_REGS, RA, SP};
 
 /// Program-counter value that terminates execution when returned to; the
 /// interpreter seeds `ra` with it before calling a function.
 pub const RETURN_SENTINEL: u64 = CODE_BASE - 16;
+
+/// Which execution engine [`Vm::run`] dispatches through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ExecEngine {
+    /// Fetch + bounds/liveness check + decode + cost lookup on every
+    /// instruction. The reference semantics.
+    DecodePerStep,
+    /// Direct-threaded dispatch (a handler function pointer per slot)
+    /// with basic-block fuel batching. See [`crate::threaded`].
+    Threaded,
+    /// Count-triggered per-function tiering: decode-per-step until a
+    /// function has been entered `thread_after` times (loop backedges
+    /// count towards that too), direct-threaded after that. Run-once
+    /// code never pays translation; hot code ends up on the fast
+    /// engine. See [`crate::adaptive`].
+    Adaptive {
+        /// Completed runs after which a function is promoted to the
+        /// direct-threaded engine.
+        thread_after: u32,
+        /// Translate promoted functions on a background worker thread
+        /// instead of inline: the promoting run keeps executing at
+        /// tier 0 and the finished translation is swapped in at a
+        /// later function entry or loop backedge (discarded if the
+        /// live epoch moved first).
+        background: bool,
+    },
+}
+
+impl Default for ExecEngine {
+    /// Adaptive tiering with the calibrated threshold
+    /// ([`DEFAULT_THREAD_AFTER`], from the `suite adaptive` reuse
+    /// sweep), translating inline.
+    fn default() -> Self {
+        ExecEngine::Adaptive {
+            thread_after: DEFAULT_THREAD_AFTER,
+            background: false,
+        }
+    }
+}
+
+/// Counters for the execution engine: how much was translated and how
+/// instructions were dispatched.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Functions translated into threaded buffers.
+    pub translations: u64,
+    /// Total code words covered by those translations.
+    pub translated_words: u64,
+    /// Instructions retired from translated buffers.
+    pub fast_insns: u64,
+    /// Instructions retired by the decode-per-step path: the whole run
+    /// for that engine, fallback steps for the threaded engine (stale,
+    /// unaligned or out-of-range pcs), and tier-0 steps for the
+    /// adaptive engine.
+    pub slow_insns: u64,
+    /// Whole-cache invalidations triggered by a live-epoch change.
+    pub invalidations: u64,
+    /// Scalar runs whose whole cost was charged in one batch by the
+    /// threaded engine ([`crate::threaded`]).
+    pub batched_blocks: u64,
+    /// Batched runs that exited early (mid-run fault) and had their
+    /// unexecuted tail un-charged.
+    pub fuel_reconciliations: u64,
+    /// Size of the direct-threaded handler table; `0` until the
+    /// threaded engine has translated something.
+    pub handlers: u64,
+    /// Superinstruction groups compiled by the threaded engine's
+    /// translation (fused run+jump, run+branch, pair, and triple slots;
+    /// cumulative over translations).
+    pub superinstructions: u64,
+    /// Handler dispatches executed by the threaded engine (one per
+    /// dispatch-loop iteration inside translated buffers).
+    pub dispatches: u64,
+    /// Threaded-engine dispatches that went through a superinstruction
+    /// handler (a whole fused group per dispatch).
+    pub fused_dispatches: u64,
+}
+
+impl ExecStats {
+    /// Fraction of retired instructions dispatched from translated
+    /// buffers. `0.0` when nothing has executed yet (matching
+    /// `CacheMetrics::hit_rate`: no traffic is not a perfect score).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.fast_insns + self.slow_insns;
+        if total == 0 {
+            0.0
+        } else {
+            self.fast_insns as f64 / total as f64
+        }
+    }
+
+    /// Fraction of threaded-engine dispatches that executed a whole
+    /// superinstruction group. `0.0` before anything has dispatched
+    /// (zero denominators never produce NaN).
+    pub fn fused_dispatch_rate(&self) -> f64 {
+        if self.dispatches == 0 {
+            0.0
+        } else {
+            self.fused_dispatches as f64 / self.dispatches as f64
+        }
+    }
+
+    /// Threaded-engine dispatches per fast-path retired instruction —
+    /// the superinstruction win in one number (lower is better; `1.0`
+    /// would mean one indirect dispatch per instruction). `0.0` when
+    /// nothing has retired from translated buffers yet.
+    pub fn dispatches_per_insn(&self) -> f64 {
+        if self.fast_insns == 0 {
+            0.0
+        } else {
+            self.dispatches as f64 / self.fast_insns as f64
+        }
+    }
+}
 
 /// How a run ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -132,16 +246,15 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// Replaces the cycle cost model. Drops the translation cache:
-    /// decoded buffers bake per-instruction costs in.
+    /// threaded buffers bake per-instruction costs in.
     pub fn set_cost_model(&mut self, cost: CostModel) {
         self.cost = cost;
         self.trans.clear();
     }
 
-    /// Selects the execution engine (decode-per-step, predecoded,
-    /// threaded, or adaptive). Drops the translation cache and any
-    /// adaptive tier state: decoded buffers depend on the engine's
-    /// fusion setting, and tier clocks restart with the engine.
+    /// Selects the execution engine (decode-per-step, threaded, or
+    /// adaptive). Drops the translation cache and any adaptive tier
+    /// state, so tier clocks restart with the engine.
     pub fn set_engine(&mut self, engine: ExecEngine) {
         self.engine = engine;
         self.trans.clear();
@@ -152,8 +265,8 @@ impl<H: HostCall> Vm<H> {
         self.engine
     }
 
-    /// Execution-engine counters: translations performed, fused pairs,
-    /// and how instructions were dispatched.
+    /// Execution-engine counters: translations performed and how
+    /// instructions were dispatched.
     pub fn exec_stats(&self) -> ExecStats {
         self.trans.stats
     }
@@ -271,13 +384,11 @@ impl<H: HostCall> Vm<H> {
     pub fn run(&mut self, pc: u64) -> Result<ExitStatus, VmError> {
         match self.engine {
             ExecEngine::DecodePerStep => self.run_decode_per_step(pc),
-            ExecEngine::Predecoded { fuse } => self.run_predecoded(pc, fuse),
             ExecEngine::Threaded => self.run_threaded(pc),
             ExecEngine::Adaptive {
-                fuse_after,
                 thread_after,
                 background,
-            } => self.run_adaptive(pc, fuse_after, thread_after, background),
+            } => self.run_adaptive(pc, thread_after, background),
         }
     }
 
@@ -297,8 +408,9 @@ impl<H: HostCall> Vm<H> {
         }
     }
 
-    /// One instruction of the reference engine. The predecoded engine
-    /// falls back to this at region boundaries so every fault
+    /// One instruction of the reference engine. The threaded and
+    /// adaptive engines fall back to this outside translated buffers
+    /// (and at tier 0), so every fault
     /// (`BadPc`, `StaleCode`, `BadOpcode`, ...) is raised by the exact
     /// same code on both paths.
     #[inline]
@@ -373,8 +485,9 @@ impl<H: HostCall> Vm<H> {
 }
 
 /// Executes one straight-line (non-control, non-trapping-to-host)
-/// instruction against the machine state. Both engines funnel through
-/// this function, so operational semantics exist in exactly one place.
+/// instruction against the machine state. The reference engine and the
+/// threaded engine's scalar handlers both funnel through this function,
+/// so operational semantics exist in exactly one place.
 #[inline]
 pub(crate) fn exec_scalar(
     st: &mut MachineState,
@@ -878,4 +991,205 @@ mod tests {
     }
 
     use crate::regs::{RA, SP};
+
+    /// The engine configurations the equivalence tests below sweep: the
+    /// reference, threaded, and adaptive promoted on the first entry,
+    /// on the second (hair-trigger), and never.
+    const ENGINES: [ExecEngine; 5] = [
+        ExecEngine::DecodePerStep,
+        ExecEngine::Threaded,
+        ExecEngine::Adaptive {
+            thread_after: 0,
+            background: false,
+        },
+        ExecEngine::Adaptive {
+            thread_after: 1,
+            background: false,
+        },
+        ExecEngine::Adaptive {
+            thread_after: u32::MAX,
+            background: false,
+        },
+    ];
+
+    /// The translating engines the warm-cache scenarios run under:
+    /// after one warm-up call, both dispatch from a threaded buffer.
+    const TRANSLATED: [ExecEngine; 2] = [
+        ExecEngine::Threaded,
+        ExecEngine::Adaptive {
+            thread_after: 1,
+            background: false,
+        },
+    ];
+
+    /// sum(1..=n) by counted loop; exercises branch, ALU, and jump.
+    fn loop_code() -> (CodeSpace, u64) {
+        let mut cs = CodeSpace::new();
+        let f = cs.begin_function("sum");
+        cs.push(Insn::i(Op::Addiw, AT0, ZERO, 0)); // acc = 0
+        cs.push(Insn::i(Op::Beq, A0, ZERO, 3)); // while n != 0
+        cs.push(Insn::r(Op::Addw, AT0, AT0, A0)); //   acc += n
+        cs.push(Insn::i(Op::Addiw, A0, A0, -1)); //   n -= 1
+        cs.push(Insn::j(Op::J, -4));
+        cs.push(Insn::r(Op::Addw, A0, AT0, ZERO)); // return acc
+        cs.push(Insn::ret());
+        let addr = cs.finish_function(f).unwrap();
+        (cs, addr)
+    }
+
+    /// Result, cycles and insns of one call under `fuel`, after an
+    /// unmetered warm-up call (so hair-trigger adaptive runs the
+    /// measured call threaded).
+    fn observe(
+        engine: ExecEngine,
+        cs: &CodeSpace,
+        addr: u64,
+        n: u64,
+        fuel: u64,
+    ) -> (Result<u64, VmError>, u64, u64) {
+        let mut vm = Vm::new(cs.clone(), 1 << 20);
+        vm.set_engine(engine);
+        vm.call(addr, &[n]).unwrap();
+        vm.reset_counters();
+        vm.set_fuel(fuel);
+        let r = vm.call(addr, &[n]);
+        (r, vm.cycles(), vm.insns())
+    }
+
+    #[test]
+    fn engines_agree_on_loops() {
+        let (cs, addr) = loop_code();
+        for n in [0u64, 1, 10, 1000] {
+            let reference = observe(ENGINES[0], &cs, addr, n, u64::MAX);
+            assert_eq!(reference.0, Ok((1..=n).sum::<u64>() as u32 as u64));
+            for e in &ENGINES[1..] {
+                assert_eq!(observe(*e, &cs, addr, n, u64::MAX), reference, "{e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fuel_exhaustion_is_identical_at_every_budget() {
+        let (cs, addr) = loop_code();
+        let (_, full_cycles, _) = observe(ENGINES[0], &cs, addr, 25, u64::MAX);
+        for fuel in 0..full_cycles {
+            let reference = observe(ENGINES[0], &cs, addr, 25, fuel);
+            assert_eq!(reference.0, Err(VmError::OutOfFuel));
+            for e in &ENGINES[1..] {
+                assert_eq!(
+                    observe(*e, &cs, addr, 25, fuel),
+                    reference,
+                    "{e:?} fuel {fuel}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn freed_code_faults_stale_with_warm_cache() {
+        for engine in TRANSLATED {
+            let mut cs = CodeSpace::new();
+            let f = cs.begin_function("f");
+            cs.push(Insn::i(Op::Addiw, A0, A0, 1));
+            cs.push(Insn::ret());
+            let addr = cs.finish_function(f).unwrap();
+            let mut vm = Vm::new(cs, 1 << 20);
+            vm.set_engine(engine);
+            for _ in 0..2 {
+                assert_eq!(vm.call(addr, &[1]).unwrap(), 2);
+            }
+            assert_eq!(vm.exec_stats().translations, 1, "{engine:?}: cache warm");
+            vm.state_mut().code.free_function(f).unwrap();
+            assert_eq!(
+                vm.call(addr, &[1]),
+                Err(VmError::StaleCode(addr)),
+                "{engine:?}"
+            );
+            assert!(vm.exec_stats().invalidations >= 1, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn patching_live_code_invalidates_translation() {
+        for engine in TRANSLATED {
+            let mut cs = CodeSpace::new();
+            let f = cs.begin_function("f");
+            cs.push(Insn::i(Op::Addiw, A0, ZERO, 1));
+            cs.push(Insn::ret());
+            let addr = cs.finish_function(f).unwrap();
+            let idx = ((addr - CODE_BASE) / 4) as usize;
+            let mut vm = Vm::new(cs, 1 << 20);
+            vm.set_engine(engine);
+            for _ in 0..2 {
+                assert_eq!(vm.call(addr, &[]).unwrap(), 1);
+            }
+            vm.state_mut()
+                .code
+                .patch(idx, Insn::i(Op::Addiw, A0, ZERO, 2));
+            assert_eq!(
+                vm.call(addr, &[]).unwrap(),
+                2,
+                "{engine:?}: stale translated result"
+            );
+        }
+    }
+
+    #[test]
+    fn host_call_freeing_running_function_faults_stale() {
+        for engine in TRANSLATED {
+            let mut cs = CodeSpace::new();
+            let f = cs.begin_function("f");
+            cs.push(Insn::i(Op::Hcall, ZERO, ZERO, 1));
+            cs.push(Insn::i(Op::Addiw, A0, ZERO, 7));
+            cs.push(Insn::ret());
+            let addr = cs.finish_function(f).unwrap();
+            // The first (warm-up) call survives; the second frees the
+            // function it is running from inside the host call.
+            let mut calls = 0;
+            let host = move |_num: u32, st: &mut MachineState| {
+                calls += 1;
+                if calls == 2 {
+                    st.code.free_function(f).unwrap();
+                }
+                Ok(())
+            };
+            let mut vm = Vm::with_host(cs, 1 << 20, host);
+            vm.set_engine(engine);
+            assert_eq!(vm.call(addr, &[]).unwrap(), 7);
+            assert_eq!(
+                vm.call(addr, &[]),
+                Err(VmError::StaleCode(addr + 4)),
+                "{engine:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn slow_insns_count_the_reference_path() {
+        let (cs, addr) = loop_code();
+        let mut vm = Vm::new(cs.clone(), 1 << 20);
+        vm.set_engine(ExecEngine::DecodePerStep);
+        vm.call(addr, &[3]).unwrap();
+        let s = vm.exec_stats();
+        assert_eq!(s.fast_insns, 0);
+        assert_eq!(s.slow_insns, vm.insns());
+        assert_eq!(s.hit_rate(), 0.0);
+
+        let mut vm = Vm::new(cs.clone(), 1 << 20);
+        vm.set_engine(ExecEngine::Threaded);
+        vm.call(addr, &[3]).unwrap();
+        let s = vm.exec_stats();
+        assert_eq!((s.fast_insns, s.slow_insns), (vm.insns(), 0));
+
+        // Hair-trigger adaptive: the first entry single-steps at tier 0,
+        // the second runs threaded.
+        let mut vm = Vm::new(cs, 1 << 20);
+        vm.set_engine(TRANSLATED[1]);
+        vm.call(addr, &[3]).unwrap();
+        let first = vm.insns();
+        assert_eq!(vm.exec_stats().slow_insns, first);
+        vm.call(addr, &[3]).unwrap();
+        let s = vm.exec_stats();
+        assert_eq!((s.slow_insns, s.fast_insns), (first, vm.insns() - first));
+    }
 }

@@ -58,17 +58,15 @@ pub mod host;
 pub mod interp;
 pub mod isa;
 pub mod mem;
-pub mod predecode;
 pub mod regs;
 pub mod threaded;
 
-pub use adaptive::{AdaptiveStats, Tier, TransHub, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER};
+pub use adaptive::{AdaptiveStats, Tier, TransHub, DEFAULT_THREAD_AFTER};
 pub use code::{CodeSpace, CodeStats, FuncHandle, CODE_BASE};
 pub use cost::CostModel;
 pub use error::VmError;
 pub use host::{HostCall, NoHost};
-pub use interp::{ExitStatus, Vm};
+pub use interp::{ExecEngine, ExecStats, ExitStatus, Vm};
 pub use isa::{FReg, Insn, Op, Reg};
 pub use mem::Memory;
-pub use predecode::{ExecEngine, ExecStats, SharedTranslation};
 pub use threaded::{handler_table_sizes, HANDLER_TABLE_SIZE, SUPER_HANDLERS};

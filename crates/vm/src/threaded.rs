@@ -1,9 +1,10 @@
 //! The direct-threaded execution engine with basic-block fuel batching.
 //!
-//! The predecoded engine ([`crate::predecode`]) already hoists decode
-//! and cost lookup to translation time, but still pays a `match` over
-//! the decoded enum plus a fuel compare on every retired instruction.
-//! This engine removes both:
+//! The reference engine pays a bounds + liveness check, `Insn::decode`
+//! bit-twiddling, two cost-model lookups, a `match` over the opcode and
+//! a fuel compare on every retired instruction. This engine translates
+//! each sealed function once and removes all of them from the hot
+//! path:
 //!
 //! * **Direct threading.** Translation stores a handler *function
 //!   pointer* in every slot (`TSlot::handler`), picked once per
@@ -30,9 +31,9 @@
 //!
 //! # Equivalence contract
 //!
-//! Identical to the predecoded engine's: same results, same `cycles`,
-//! same `insns`, same exit status, same error at the same instruction,
-//! for every fuel budget. `tests/exec_differential.rs` sweeps fuel
+//! Observationally identical to decode-per-step: same results, same
+//! `cycles`, same `insns`, same exit status, same error at the same
+//! instruction, for every fuel budget. `tests/exec_differential.rs` sweeps fuel
 //! budgets across all engines to enforce this, including budgets that
 //! land exactly on block boundaries and mid-block.
 //!
@@ -52,20 +53,21 @@
 //! 3. Branches, jumps, calls, halt, and host calls always charge
 //!    individually; a host call flushes counters first (the host
 //!    observes and may mutate them) and re-checks the live epoch
-//!    after returning, exactly like the predecoded engine.
+//!    after returning, so code freed or patched by the host faults
+//!    exactly as under decode-per-step.
 //!
 //! # Superinstructions
 //!
-//! A fusion pass over the translated slots compiles the hottest fused
-//! shapes the predecoded engine's table identifies into combined
-//! handlers that execute the whole group with **one** dispatch:
+//! A fusion pass over the translated slots compiles the hottest
+//! instruction groups into combined handlers that execute the whole
+//! group with **one** dispatch:
 //!
 //! * **run+jump** — a scalar run whose suffix falls into an
 //!   unconditional `j` (the back edge of every counted loop);
 //! * **run+branch** — a scalar run whose *last* constituent feeds the
-//!   following branch (`last.rd` is one of the compared registers),
-//!   the same feed gate as the predecoded engine's `FusedBr`, so the
-//!   ICODE fusion-aware scheduler is measurable on this engine too;
+//!   following branch (`last.rd` is one of the compared registers) —
+//!   the adjacency the ICODE fusion-aware scheduler creates, so its
+//!   gain is measurable as superinstructions on this engine;
 //! * **pair**/**triple** — straight-line runs of exactly two or three
 //!   scalars, executed by monomorphized handlers with a compile-time
 //!   trip count.
@@ -78,7 +80,7 @@
 //! the trailing jump/branch charges individually per rule (3) by
 //! delegating to the *control slot's own* fields — observables cannot
 //! diverge from unfused execution. Translation counts the groups in
-//! [`crate::predecode::ExecStats::superinstructions`]; each fused
+//! [`crate::interp::ExecStats::superinstructions`]; each fused
 //! dispatch counts in `fused_dispatches`, and every dispatch-loop
 //! iteration in `dispatches`.
 
@@ -98,12 +100,12 @@ pub const SCALAR_HANDLERS: u64 = 70;
 /// jump/jal/jalr, halt, hcall, and the undecodable-word trap.
 pub const CONTROL_HANDLERS: u64 = 17;
 /// Superinstruction handlers: the fused run+jump handler, ten fused
-/// run+branch handlers (one per predicate, feed-gated like the
-/// predecoded engine's `FusedBr`), and the monomorphized straight-line
+/// run+branch handlers (one per predicate, feed-gated: the run's last
+/// def is a compared register), and the monomorphized straight-line
 /// pair and triple handlers.
 pub const SUPER_HANDLERS: u64 = 13;
 /// Total size of the direct-threaded handler table, reported in
-/// [`crate::predecode::ExecStats::handlers`] once the threaded engine
+/// [`crate::interp::ExecStats::handlers`] once the threaded engine
 /// has translated.
 pub const HANDLER_TABLE_SIZE: u64 = SCALAR_HANDLERS + CONTROL_HANDLERS + SUPER_HANDLERS;
 
@@ -192,13 +194,25 @@ pub(crate) struct ThreadedFn<H> {
     /// All scalar instructions, in order; each run is a contiguous
     /// range so batched execution iterates a plain slice.
     halves: Vec<SHalf>,
-    /// Superinstruction groups compiled into the buffer (stat
-    /// preseeding, merged on install like `SharedTranslation`'s
-    /// `fused_pairs`).
-    pub(crate) superinstructions: u64,
-    /// Shape → count for those groups ("addw+beq", "addiw+j", ...),
-    /// merged into the cache-wide histogram on install.
-    pub(crate) shapes: Vec<(String, u64)>,
+    /// One entry per superinstruction group compiled into the buffer,
+    /// merged into the cache-wide counters and histogram on install.
+    pub(crate) shapes: Vec<Shape>,
+}
+
+/// A superinstruction group's shape: its constituent opcodes in order
+/// (two or three; a run+jump or run+branch group is the run's last
+/// scalar followed by the control op). `Copy`, so translation records
+/// shapes without allocating; names are formatted only when the
+/// histogram is read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct Shape([Option<Op>; 3]);
+
+impl Shape {
+    /// The group's mnemonics joined by `+`, e.g. `"addiw+bne"`.
+    fn name(self) -> String {
+        let ops: Vec<&str> = self.0.iter().flatten().map(|op| op.mnemonic()).collect();
+        ops.join("+")
+    }
 }
 
 impl<H> fmt::Debug for ThreadedFn<H> {
@@ -207,7 +221,7 @@ impl<H> fmt::Debug for ThreadedFn<H> {
             .field("base", &self.base)
             .field("slots", &self.slots.len())
             .field("halves", &self.halves.len())
-            .field("superinstructions", &self.superinstructions)
+            .field("superinstructions", &self.shapes.len())
             .finish()
     }
 }
@@ -348,7 +362,7 @@ fn flush<H: HostCall>(vm: &mut Vm<H>, fr: &mut Frame) {
 }
 
 /// Advances `n` slots, exiting at the pc past the end if the buffer is
-/// exhausted (mirrors the predecoded engine's `advance!`).
+/// exhausted.
 #[inline(always)]
 fn advance<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame, n: usize) -> Ctl {
     fr.i += n;
@@ -722,7 +736,6 @@ pub(crate) fn translate<H: HostCall>(
     }
     let mut slots: Vec<TSlot<H>> = Vec::with_capacity(words.len());
     let mut halves: Vec<SHalf> = Vec::with_capacity(words.len());
-    let mut half_ops: Vec<Op> = Vec::with_capacity(words.len());
     let mut kinds: Vec<CtlKind> = Vec::with_capacity(words.len());
     let blank = |handler: Handler<H>| TSlot {
         handler,
@@ -801,7 +814,6 @@ pub(crate) fn translate<H: HostCall>(
                     imm: insn.imm,
                     cost: c,
                 });
-                half_ops.push(op);
                 t
             }
         };
@@ -826,59 +838,54 @@ pub(crate) fn translate<H: HostCall>(
     // dispatch the unfused entries). Control fusion wins over the
     // straight-line pair/triple forms — it saves a dispatch per loop
     // iteration rather than per straight-line entry.
-    let mut superinstructions = 0u64;
-    let mut shape_counts: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
+    let mut shapes = Vec::new();
     for i in 0..slots.len() {
         let n = slots[i].b as usize;
         if n == 0 {
             continue; // not a scalar slot
         }
-        let last = slots[i].a as usize + n - 1;
+        let a = slots[i].a as usize;
+        let last = a + n - 1;
         let j = i + n;
         let shape = match kinds.get(j) {
             Some(CtlKind::Jump) => {
                 slots[i].handler = h_run_j::<H>;
-                format!("{}+j", half_ops[last].mnemonic())
+                [Some(halves[last].op), Some(Op::J), None]
             }
             Some(&CtlKind::Branch(bop))
                 if halves[last].rd == slots[j].rd || halves[last].rd == slots[j].rs1 =>
             {
                 slots[i].handler = run_branch_fn::<H>(bop);
-                format!("{}+{}", half_ops[last].mnemonic(), bop.mnemonic())
+                [Some(halves[last].op), Some(bop), None]
             }
             _ if n == 2 => {
                 slots[i].handler = h_pair::<H>;
-                let a = slots[i].a as usize;
-                format!("{}+{}", half_ops[a].mnemonic(), half_ops[a + 1].mnemonic())
+                [Some(halves[a].op), Some(halves[a + 1].op), None]
             }
             _ if n == 3 => {
                 slots[i].handler = h_triple::<H>;
-                let a = slots[i].a as usize;
-                format!(
-                    "{}+{}+{}",
-                    half_ops[a].mnemonic(),
-                    half_ops[a + 1].mnemonic(),
-                    half_ops[a + 2].mnemonic()
-                )
+                [
+                    Some(halves[a].op),
+                    Some(halves[a + 1].op),
+                    Some(halves[a + 2].op),
+                ]
             }
             _ => continue,
         };
-        superinstructions += 1;
-        *shape_counts.entry(shape).or_insert(0) += 1;
+        shapes.push(Shape(shape));
     }
     ThreadedFn {
         base: CODE_BASE + (start as u64) * 4,
         slots,
         halves,
-        superinstructions,
-        shapes: shape_counts.into_iter().collect(),
+        shapes,
     }
 }
 
 impl<H: HostCall> Vm<H> {
-    /// The direct-threaded engine's run loop. Structure matches
-    /// `run_predecoded`: threaded dispatch where a translation exists,
-    /// reference-engine single steps where one doesn't, so every fault
+    /// The direct-threaded engine's run loop: threaded dispatch where a
+    /// translation exists, reference-engine single steps where one
+    /// doesn't (stale, unaligned, or out-of-range pcs), so every fault
     /// is raised by the exact same code on both paths.
     pub(crate) fn run_threaded(&mut self, mut pc: u64) -> Result<ExitStatus, VmError> {
         loop {
@@ -903,12 +910,7 @@ impl<H: HostCall> Vm<H> {
     /// Looks up (or lazily builds) the threaded buffer covering `pc`,
     /// validating the cache against the code space's live epoch first.
     pub(crate) fn threaded_at(&mut self, pc: u64) -> Option<Arc<ThreadedFn<H>>> {
-        let epoch = self.state.code.live_epoch();
-        if epoch != self.trans.epoch {
-            self.trans.clear();
-            self.trans.epoch = epoch;
-            self.trans.stats.invalidations += 1;
-        }
+        self.trans.revalidate(self.state.code.live_epoch());
         if pc < CODE_BASE || !pc.is_multiple_of(4) {
             return None;
         }
@@ -922,20 +924,7 @@ impl<H: HostCall> Vm<H> {
             start,
             &self.cost,
         ));
-        let need = self.state.code.next_index();
-        if self.trans.tmap.len() < need {
-            self.trans.tmap.resize(need, None);
-        }
-        for slot in self.trans.tmap[start..end].iter_mut() {
-            *slot = Some(Arc::clone(&tr));
-        }
-        self.trans.stats.translations += 1;
-        self.trans.stats.translated_words += (end - start) as u64;
-        self.trans.stats.handlers = HANDLER_TABLE_SIZE;
-        self.trans.stats.superinstructions += tr.superinstructions;
-        for (shape, count) in &tr.shapes {
-            *self.trans.shapes.entry(shape.clone()).or_insert(0) += count;
-        }
+        self.trans.install(start, end, &tr);
         Some(tr)
     }
 
@@ -972,14 +961,14 @@ impl<H: HostCall> Vm<H> {
             .trans
             .shapes
             .iter()
-            .map(|(s, &c)| (s.clone(), c))
+            .map(|(&s, &c)| (s.name(), c))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }
 }
 
-/// Exposed for [`crate::predecode::ExecStats::handlers`] consumers
+/// Exposed for [`crate::interp::ExecStats::handlers`] consumers
 /// that want the split.
 pub fn handler_table_sizes() -> (u64, u64, u64) {
     (SCALAR_HANDLERS, CONTROL_HANDLERS, SUPER_HANDLERS)
@@ -989,10 +978,10 @@ pub fn handler_table_sizes() -> (u64, u64, u64) {
 mod tests {
     use super::*;
     use crate::code::CodeSpace;
-    use crate::predecode::ExecEngine;
+    use crate::interp::ExecEngine;
     use crate::regs::{A0, AT0, ZERO};
 
-    /// sum(1..=n) by counted loop (same shape as predecode's tests).
+    /// sum(1..=n) by counted loop.
     fn loop_code() -> (CodeSpace, u64) {
         let mut cs = CodeSpace::new();
         let f = cs.begin_function("sum");
@@ -1081,6 +1070,29 @@ mod tests {
         cs.push(Insn::ret());
         let addr = cs.finish_function(f).unwrap();
         (cs, addr)
+    }
+
+    #[test]
+    fn shape_histogram_names_and_counts_every_group() {
+        // Pinned: the feeding loop compiles three run+branch groups
+        // (each suffix of the `addw; addiw` run entering the loop head
+        // ends in the decrement feeding `bne`), the counted loop two
+        // run+jump groups. A second translation doubles the counts.
+        let (cs, addr) = feeding_loop_code();
+        let mut vm = threaded_vm(&cs);
+        vm.call(addr, &[12]).unwrap();
+        assert_eq!(vm.fused_shape_histogram(), [("addiw+bne".to_string(), 3)]);
+        assert_eq!(vm.exec_stats().superinstructions, 3);
+        vm.state_mut().code.patch(
+            ((addr - CODE_BASE) / 4) as usize,
+            Insn::i(Op::Addiw, AT0, ZERO, 0),
+        );
+        vm.call(addr, &[12]).unwrap();
+        assert_eq!(vm.fused_shape_histogram(), [("addiw+bne".to_string(), 6)]);
+        let (cs, addr) = loop_code();
+        let mut vm = threaded_vm(&cs);
+        vm.call(addr, &[12]).unwrap();
+        assert_eq!(vm.fused_shape_histogram(), [("addiw+j".to_string(), 2)]);
     }
 
     #[test]

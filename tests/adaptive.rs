@@ -1,6 +1,6 @@
 //! Property tests for the adaptive tiering engine at the session level:
 //! per-function promotion sequences are monotone and keyed to the
-//! configured thresholds, epoch bumps (here: code-budget evictions)
+//! configured threshold, epoch bumps (here: code-budget evictions)
 //! demote everything and reset run counts, freed-then-hot functions
 //! fault `StaleCode` no matter which tier they had reached, and the
 //! `AdaptiveMetrics` accounting invariants hold across arbitrary
@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use tickc::tickc_core::{Config, Error, Session};
-use tickc::vm::{ExecEngine, Tier, VmError, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER};
+use tickc::vm::{ExecEngine, Tier, VmError, DEFAULT_THREAD_AFTER};
 
 /// `mk(n)` compiles a distinct closure per `n` (the `$`-bound seed
 /// changes the fingerprint) so budget pressure eventually evicts the
@@ -32,13 +32,15 @@ int run(long fp) {
 /// n × (3+5+7+9+11+13+17+19+23+29+31+37).
 const PRIME_SUM: u64 = 204;
 
-fn session(fuse_after: u32, thread_after: u32, budget: Option<u64>) -> Session {
+fn session(thread_after: u32, budget: Option<u64>) -> Session {
     Session::new(
         SRC,
         Config {
             code_budget: budget,
-            adaptive_fuse_after: fuse_after,
-            adaptive_thread_after: thread_after,
+            engine: ExecEngine::Adaptive {
+                thread_after,
+                background: false,
+            },
             ..Config::default()
         },
     )
@@ -47,21 +49,19 @@ fn session(fuse_after: u32, thread_after: u32, budget: Option<u64>) -> Session {
 
 /// The tier a function must occupy while executing its `k`-th run
 /// (1-indexed): the decision is made at entry against the `k - 1`
-/// completed prior runs.
-fn expected_tier(k: u64, fuse_after: u32, thread_after: u32) -> Tier {
-    let prior = k - 1;
-    if prior >= u64::from(thread_after) {
+/// completed prior runs, so run `k` is threaded once `k - 1 >=
+/// thread_after`.
+fn expected_tier(k: u64, thread_after: u32) -> Tier {
+    if k > u64::from(thread_after) {
         Tier::Threaded
-    } else if prior >= u64::from(fuse_after) {
-        Tier::Fused
     } else {
         Tier::Decode
     }
 }
 
-/// Ordered thresholds: 1 <= fuse_after <= thread_after <= 8.
-fn thresholds() -> impl Strategy<Value = (u32, u32)> {
-    (1u32..5, 0u32..5).prop_map(|(f, extra)| (f, (f + extra).min(8)))
+/// Promotion thresholds: 1 <= thread_after <= 8.
+fn thresholds() -> impl Strategy<Value = u32> {
+    1u32..9
 }
 
 /// Compiles fresh closures until the code budget evicts at least one
@@ -84,11 +84,10 @@ proptest! {
     /// run count after an epoch bump.
     #[test]
     fn promotion_sequences_are_monotone_and_reset_on_epoch_bump(
-        ft in thresholds(),
+        thread_after in thresholds(),
         runs in 1u64..14,
     ) {
-        let (fuse_after, thread_after) = ft;
-        let mut s = session(fuse_after, thread_after, Some(512));
+        let mut s = session(thread_after, Some(512));
         let fp = s.call("mk", &[1]).expect("compile");
         prop_assert!(s.pin_code(fp), "compiled closure is pinnable");
         prop_assert_eq!(s.vm.adaptive_tier(fp), None, "never entered yet");
@@ -100,10 +99,9 @@ proptest! {
             prop_assert!(tier >= last, "tier never moves down between runs");
             prop_assert_eq!(
                 tier,
-                expected_tier(k, fuse_after, thread_after),
-                "tier at run {} under thresholds {}/{}",
+                expected_tier(k, thread_after),
+                "tier at run {} under threshold {}",
                 k,
-                fuse_after,
                 thread_after
             );
             last = tier;
@@ -115,30 +113,29 @@ proptest! {
         force_eviction(&mut s, &mut seed);
         let demotions = s.metrics().adaptive.demotions;
         if last > Tier::Decode {
-            prop_assert!(demotions >= last as u64, "the hot survivor was demoted");
+            prop_assert!(demotions >= 1, "the hot survivor was demoted");
         }
         prop_assert_eq!(s.call("run", &[fp]).expect("still pinned"), PRIME_SUM);
         let (tier, count) = s.vm.adaptive_tier(fp).expect("re-tracked");
         prop_assert_eq!(count, 1, "run count restarts after the bump");
-        prop_assert_eq!(tier, expected_tier(1, fuse_after, thread_after));
+        prop_assert_eq!(tier, expected_tier(1, thread_after));
     }
 
     /// (b) A freed-then-called function faults `StaleCode` at its own
     /// address regardless of the tier it had climbed to.
     #[test]
     fn freed_hot_function_faults_stale_at_every_tier(
-        ft in thresholds(),
+        thread_after in thresholds(),
         warm_runs in 0u64..10,
     ) {
-        let (fuse_after, thread_after) = ft;
-        let mut s = session(fuse_after, thread_after, Some(256));
+        let mut s = session(thread_after, Some(256));
         let fp = s.call("mk", &[1]).expect("compile");
         for _ in 0..warm_runs {
             prop_assert_eq!(s.call("run", &[fp]).expect("warm run"), PRIME_SUM);
         }
         if warm_runs > 0 {
             let (tier, _) = s.vm.adaptive_tier(fp).expect("tracked");
-            prop_assert_eq!(tier, expected_tier(warm_runs, fuse_after, thread_after));
+            prop_assert_eq!(tier, expected_tier(warm_runs, thread_after));
         }
         // `run` never touches the compile cache, so `fp` stays LRU and
         // is the first entry the budget reclaims.
@@ -159,11 +156,10 @@ proptest! {
     /// total, promotions never trail demotions, and both only grow.
     #[test]
     fn metrics_invariants_hold_across_interleavings(
-        ft in thresholds(),
+        thread_after in thresholds(),
         script in prop::collection::vec((0u8..3, 1u64..6), 1..12),
     ) {
-        let (fuse_after, thread_after) = ft;
-        let mut s = session(fuse_after, thread_after, Some(512));
+        let mut s = session(thread_after, Some(512));
         let mut fps: Vec<u64> = Vec::new();
         let mut seed = 1u64;
         let (mut last_promotions, mut last_demotions) = (0u64, 0u64);
@@ -192,6 +188,7 @@ proptest! {
                 a.total_runs,
                 "tier run counts partition total_runs"
             );
+            prop_assert_eq!(a.runs_tier1, 0, "the ladder has no tier 1");
             prop_assert!(a.promotions >= a.demotions, "cannot lose more levels than gained");
             prop_assert!(a.promotions >= last_promotions, "promotions are monotone");
             prop_assert!(a.demotions >= last_demotions, "demotions are monotone");
@@ -207,10 +204,8 @@ fn adaptive_is_the_default_engine_and_reports_metrics() {
     assert!(
         matches!(
             s.vm.engine(),
-            ExecEngine::Adaptive { fuse_after, thread_after, background }
-                if fuse_after == DEFAULT_FUSE_AFTER
-                    && thread_after == DEFAULT_THREAD_AFTER
-                    && !background
+            ExecEngine::Adaptive { thread_after, background }
+                if thread_after == DEFAULT_THREAD_AFTER && !background
         ),
         "Config::default must select adaptive tiering, got {:?}",
         s.vm.engine()
@@ -222,8 +217,8 @@ fn adaptive_is_the_default_engine_and_reports_metrics() {
     let m = s.metrics();
     assert!(m.adaptive.total_runs > 0, "runs were counted");
     assert!(
-        m.adaptive.promotions >= 2,
-        "ten repeat runs cross both default thresholds"
+        m.adaptive.promotions >= 1,
+        "ten repeat runs cross the default threshold"
     );
     assert!(
         m.adaptive.runs_tier2 > 0,

@@ -1,6 +1,5 @@
 //! Engine-differential fuzzing: randomized `C programs executed through
-//! the decode-per-step reference interpreter, the predecoded engine
-//! (with and without superinstruction fusion), the direct-threaded
+//! the decode-per-step reference interpreter, the direct-threaded
 //! fuel-batched engine, and the adaptive tiering engine, asserting
 //! bit-identical observable behavior — result value, modeled `cycles`, retired
 //! `insns`, exit status, and error, including `OutOfFuel` raised at the
@@ -11,23 +10,19 @@
 
 use proptest::prelude::*;
 use tickc::tickc_core::{Backend, Config, Error, Session, Strategy as Alloc};
-use tickc::vm::{ExecEngine, VmError};
+use tickc::vm::{ExecEngine, VmError, DEFAULT_THREAD_AFTER};
 
-const ENGINES: [ExecEngine; 8] = [
+const ENGINES: [ExecEngine; 6] = [
     ExecEngine::DecodePerStep,
-    ExecEngine::Predecoded { fuse: false },
-    ExecEngine::Predecoded { fuse: true },
     ExecEngine::Threaded,
-    // Hair-trigger thresholds: functions climb to the threaded tier
+    // Hair-trigger threshold: functions climb to the threaded tier
     // within a single observation, so promotions land inside the sweep.
     ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: false,
     },
-    // Shipping defaults: most functions stay on the lower tiers.
+    // Shipping default: most functions stay on tier 0.
     ExecEngine::Adaptive {
-        fuse_after: 2,
         thread_after: 8,
         background: false,
     },
@@ -38,12 +33,10 @@ const ENGINES: [ExecEngine; 8] = [
     // bit-identical either way — that timing-independence IS the async
     // pipeline's contract.
     ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: true,
     },
     ExecEngine::Adaptive {
-        fuse_after: 2,
         thread_after: 8,
         background: true,
     },
@@ -52,18 +45,14 @@ const ENGINES: [ExecEngine; 8] = [
 fn engine_label(e: ExecEngine) -> &'static str {
     match e {
         ExecEngine::DecodePerStep => "decode-per-step",
-        ExecEngine::Predecoded { fuse: false } => "predecoded",
-        ExecEngine::Predecoded { fuse: true } => "predecoded+fused",
         ExecEngine::Threaded => "threaded",
         ExecEngine::Adaptive {
-            fuse_after: 1,
+            thread_after: 2,
             background: false,
-            ..
         } => "adaptive(hair-trigger)",
         ExecEngine::Adaptive {
-            fuse_after: 1,
+            thread_after: 2,
             background: true,
-            ..
         } => "adaptive(hair-trigger,bg)",
         ExecEngine::Adaptive {
             background: true, ..
@@ -516,8 +505,8 @@ fn fuel_sweep_straddles_superinstruction_groups_mid_group() {
 
 // ---------------------------------------------------------------------------
 // Promotion-boundary differentials: the adaptive engine re-tiers a
-// function between (and never during) runs, so a sequence of calls that
-// straddles the fuse/thread thresholds must stay bit-identical to the
+// function between runs (or mid-run, off its loop backedge clock), so a
+// sequence of calls that straddles the threshold must stay identical to the
 // reference run by run — including when fuel runs out mid-way through
 // the very run whose entry triggered a promotion, and when that run
 // faults.
@@ -593,15 +582,14 @@ fn adaptive_promotion_boundaries_match_reference_under_fuel_sweep() {
         St::Assign(1, 2, Val::Var(0), Val::Rtc),
     ];
     let src = program_for(&sts);
-    // Thresholds 2/4 inside a six-run sequence: runs 1-2 execute on
-    // tier 0, run 3 is the fuse-promotion run, run 5 the
-    // thread-promotion run, run 6 steady-state threaded. Swept both
-    // synchronously and with the background worker, where the fuel
-    // budgets additionally straddle in-flight translation swaps.
+    // Threshold 4 inside a six-run sequence: runs 1-4 execute on
+    // tier 0, run 5 is the promotion run, run 6 steady-state threaded.
+    // Swept both synchronously and with the background worker, where
+    // the fuel budgets additionally straddle in-flight translation
+    // swaps.
     let ps: Vec<i64> = vec![7, -3, 11, 2, 9, -5];
     for background in [false, true] {
         let adaptive = ExecEngine::Adaptive {
-            fuse_after: 2,
             thread_after: 4,
             background,
         };
@@ -612,8 +600,8 @@ fn adaptive_promotion_boundaries_match_reference_under_fuel_sweep() {
             "unlimited-fuel trace diverges (background: {background})"
         );
         assert!(
-            promotions >= 2,
-            "six runs must cross both tier boundaries, saw {promotions} promotions"
+            promotions >= 1,
+            "six runs must cross the threshold, saw {promotions} promotions"
         );
         for fuel in boundary_budgets(&reference) {
             let (reference, _) = observe_run_sequence(&src, ENGINES[0], Some(fuel), &ps);
@@ -629,8 +617,8 @@ fn adaptive_promotion_boundaries_match_reference_under_fuel_sweep() {
 #[test]
 fn fault_during_promotion_triggering_run_matches_reference() {
     // `v0 = r / p` traps with DivideByZero exactly when p == 0. With
-    // fuse_after == 2 the third run executes under the just-promoted
-    // fused tier; passing p == 0 there faults mid-way through that
+    // thread_after == 4 the fifth run executes under the just-promoted
+    // threaded tier; passing p == 0 there faults mid-way through that
     // promotion-triggering run. Later runs re-enter the promoted
     // function after the fault.
     let sts = vec![
@@ -641,13 +629,11 @@ fn fault_during_promotion_triggering_run_matches_reference() {
     let ps: Vec<i64> = vec![7, 5, 0, 3, 0, 8, 6];
     for engine in [
         ExecEngine::Adaptive {
-            fuse_after: 2,
             thread_after: 4,
             background: false,
         },
-        // Same sequence with the fault on the thread-promotion run.
+        // Same sequence with the fault on the third run's promotion.
         ExecEngine::Adaptive {
-            fuse_after: 1,
             thread_after: 2,
             background: false,
         },
@@ -655,12 +641,10 @@ fn fault_during_promotion_triggering_run_matches_reference() {
         // through the promotion-triggering run can land while that
         // run's translation is still in flight.
         ExecEngine::Adaptive {
-            fuse_after: 2,
             thread_after: 4,
             background: true,
         },
         ExecEngine::Adaptive {
-            fuse_after: 1,
             thread_after: 2,
             background: true,
         },
@@ -729,10 +713,10 @@ fn evicted_code_faults_stale_with_warm_translation_cache() {
     assert!(matches!(s.vm.engine(), ExecEngine::Adaptive { .. }));
     let fp1 = s.call("mk", &[1]).expect("first compile");
     // Warm the translation cache on fp1 before evicting it: under the
-    // default adaptive thresholds a few repeat runs promote the helper
-    // past tier 0, which forces a translation.
+    // default adaptive threshold, that many repeat runs promote the
+    // closure past tier 0, which forces a translation.
     let expect1: u64 = (3 + 5 + 7 + 9 + 11 + 13 + 17 + 19 + 23 + 29 + 31 + 37) as u64;
-    for _ in 0..4 {
+    for _ in 0..=DEFAULT_THREAD_AFTER {
         assert_eq!(s.call("run", &[fp1]).expect("warm run"), expect1);
     }
     assert!(s.metrics().exec.translations >= 1, "fp1 was translated");
@@ -774,10 +758,11 @@ fn placement_jitter_composes_with_predecoding() {
         )
         .expect("compiles");
         let fp = s.call("dyn_compile", &[13]).expect("compiles dyn");
-        // Repeat runs climb the adaptive tiers, so the predecoded fast
-        // path is exercised regardless of where the code landed.
+        // Repeat runs promote past the adaptive threshold, so the
+        // threaded fast path is exercised regardless of where the code
+        // landed.
         let mut got = 0;
-        for _ in 0..3 {
+        for _ in 0..=DEFAULT_THREAD_AFTER {
             got = s.call("dyn_run", &[fp, 5]).expect("runs");
         }
         let cycles = s.cycles();
@@ -787,6 +772,6 @@ fn placement_jitter_composes_with_predecoding() {
                 assert_eq!(got, g, "jitter {jitter:?} changed the result");
             }
         }
-        assert!(s.metrics().exec.fast_insns > 0, "predecoded path used");
+        assert!(s.metrics().exec.fast_insns > 0, "threaded path used");
     }
 }
